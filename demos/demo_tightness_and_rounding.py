@@ -15,7 +15,8 @@ available as ground truth:
 
 import numpy as np
 
-from dks import Graph, ProblemInstance, objective, round_to_integral, rounding_step
+from dks import (Graph, ProblemInstance, quadratic_form, round_to_integral,
+                 rounding_step)
 from dks.oracle import exact_dks, max_clique, simplex_qp_max
 from dks.points import random_feasible_point
 
@@ -33,8 +34,8 @@ def main():
     best = -np.inf
     for _ in range(200):
         x = random_feasible_point(g.n, k, rng)
-        before = objective(inst, x)
-        after = objective(inst, round_to_integral(inst, x))
+        before = quadratic_form(inst.graph, inst.loading, x)
+        after = quadratic_form(inst.graph, inst.loading, round_to_integral(inst, x))
         assert after >= before - 1e-9
         best = max(best, after)
     print(f"   best of 200 rounded random points: {best:.1f} (never above opt)")
@@ -43,7 +44,8 @@ def main():
     inst15 = ProblemInstance(graph=g, k=k, loading=1.5)
     x = random_feasible_point(g.n, k, rng)
     stepped, i, j, delta, is_edge = rounding_step(inst15, x)
-    gain = objective(inst15, stepped) - objective(inst15, x)
+    gain = (quadratic_form(inst15.graph, inst15.loading, stepped)
+            - quadratic_form(inst15.graph, inst15.loading, x))
     print(f"   moved {delta:.3f} units from vertex {j} to {i} "
           f"({'edge' if is_edge else 'non-edge'} pair): gain {gain:.5f} > 0")
 

@@ -22,7 +22,7 @@ package provides:
 
 from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
 from .fw import (FwConfig, SolveReport, SolverError, fw_multi_start, fw_solve,
-                 lmp_top_k, objective)
+                 lmp_top_k)
 from .graph import (Graph, ProblemInstance, induced_edge_count, load_edge_list,
                     normalized_density)
 from .linalg import (PowerResult, leading_eigenpair, loaded_matvec,
@@ -49,7 +49,7 @@ __all__ = [
     "loaded_matvec", "quadratic_form", "spectral_norm", "leading_eigenpair",
     "top_two_singular_values", "PowerResult",
     "FwConfig", "SolveReport", "SolverError", "fw_solve", "fw_multi_start",
-    "lmp_top_k", "objective",
+    "lmp_top_k",
     "OptimizerConfig", "theta_to_x", "param_objective_and_gradient",
     "param_solve",
     "VertexSelection", "make_selection", "project_top_k", "round_to_integral",

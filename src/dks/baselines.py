@@ -80,6 +80,11 @@ def density_upper_bound(g: Graph, k: int, eig=None,
       while fl(u'Au) still rounds below the true eigenvalue), so every
       eigenvalue-derived term is inflated by that standard relative
       error bound.
+
+    Both corrections assume the eigen-iterations converged.  When either
+    did not, ``top_two_singular_values`` reports sigma2 = inf and the bound
+    falls back to min(1, maxdeg/(k-1)), which holds because sigma1 never
+    exceeds the maximum degree.
     """
     if k < 2:
         raise ValueError("the density bound needs k >= 2")
@@ -88,11 +93,13 @@ def density_upper_bound(g: Graph, k: int, eig=None,
     if eig is None:
         eig = top_two_singular_values(g, tol=tol, max_iters=max_iters)
     _, u1, sigma2 = eig
+    maxdeg = float(g.degrees.max()) if g.n else 0.0
+    guard = 1.0 + (g.n + maxdeg + 16.0) * np.finfo(np.float64).eps
+    if not np.isfinite(sigma2):
+        return float(min(1.0, maxdeg / (k - 1) * guard))
     au = g.matrix.dot(u1)
     theta = float(u1 @ au)
     residual = float(np.linalg.norm(au - theta * u1))
-    maxdeg = float(g.degrees.max()) if g.n else 0.0
-    guard = 1.0 + (g.n + maxdeg + 16.0) * np.finfo(np.float64).eps
     theta_cert = (theta + residual) * guard
     sigma1_cert = max(theta_cert, 0.0)
     sigma2_cert = (sigma2 + 4.0 * residual) * guard

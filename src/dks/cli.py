@@ -3,7 +3,7 @@
 Exit codes: 0 success; 1 verify-suite failure; 2 bad flags or invalid
 parameter combinations; 3 I/O problems (missing/malformed input files,
 unwritable output); 4 solver failure.  JSON output is byte-identical
-across runs with the same inputs and seed, except for timing fields.
+across runs with the same inputs, except for timing fields.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="absolute FW gap tolerance (default: adaptive)")
     solve.add_argument("--lr", type=float, default=3.0,
                        help="learning rate for the param solver")
-    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--output", choices=("text", "json"), default="text")
 
     sweep = sub.add_parser("sweep", help="run solvers across a list of k values")
@@ -60,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="report file to write")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--lambda", dest="loading", type=float, default=1.0)
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--jobs", type=int, default=None,
                        help="parallel sweep cells (default: $DKS_JOBS or CPU count)")
 
@@ -138,11 +136,16 @@ def cmd_solve(args) -> int:
     from .graph import ProblemInstance
 
     inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
-    fw_cfg = FwConfig(step_rule=args.step_rule,
-                      max_iters=args.max_iters or 1000,
-                      gap_tol=args.gap_tol)
-    opt_cfg = OptimizerConfig(learning_rate=args.lr,
-                              max_iters=args.max_iters or 200)
+    given = args.max_iters is not None
+    try:
+        fw_cfg = FwConfig(step_rule=args.step_rule,
+                          max_iters=args.max_iters if given else 1000,
+                          gap_tol=args.gap_tol)
+        opt_cfg = OptimizerConfig(learning_rate=args.lr,
+                                  max_iters=args.max_iters if given else 200)
+    except ValueError as exc:
+        print(f"dks: {exc}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     try:
         rep = solve_with(args.solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg)
     except Exception as exc:  # noqa: BLE001 - reported as solver failure
@@ -175,9 +178,17 @@ def cmd_sweep(args) -> int:
             return EXIT_BAD_FLAGS
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("DKS_JOBS", 0)) or os.cpu_count() or 1
+        env = os.environ.get("DKS_JOBS", "")
+        try:
+            jobs = int(env) if env else os.cpu_count() or 1
+        except ValueError:
+            print(f"dks: DKS_JOBS must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_BAD_FLAGS
+    if jobs < 1:
+        print(f"dks: --jobs (or DKS_JOBS) must be >= 1, got {jobs}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     try:
-        records = run_sweep(g, args.loading, ks, solvers, seed=args.seed,
+        records = run_sweep(g, args.loading, ks, solvers,
                             dataset=os.path.basename(args.graph), jobs=jobs)
     except Exception as exc:  # noqa: BLE001
         print(f"dks: sweep failed: {exc}", file=sys.stderr)

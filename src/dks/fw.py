@@ -64,12 +64,6 @@ class SolveReport:
     fw_gap: float = field(default=float("nan"))
 
 
-def objective(inst: ProblemInstance, x) -> float:
-    """x^T A x + loading*||x||^2, each edge contributing twice."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(x @ loaded_matvec(inst.graph, inst.loading, x))
-
-
 def lmp_top_k(gradient, k: int) -> np.ndarray:
     """Maximize the linearized objective over the polytope: a 0/1 top-k vertex."""
     gradient = np.asarray(gradient, dtype=np.float64)

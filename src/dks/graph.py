@@ -112,7 +112,7 @@ class Graph:
             raise ValueError(f"unknown vertex label {exc.args[0]}") from None
 
 
-def load_edge_list(path, directed_input: bool = False) -> Graph:
+def load_edge_list(path) -> Graph:
     """Load a whitespace-separated edge list (SNAP style) into a Graph.
 
     Lines starting with '#' and blank lines are skipped.  Files ending in
@@ -120,8 +120,7 @@ def load_edge_list(path, directed_input: bool = False) -> Graph:
     expected per line; anything else (including edge weights) is an error
     reported with its line number.  Self-loops are removed, parallel and
     reversed duplicates merged, and vertex ids compacted to 0..n-1 in
-    first-appearance order.  ``directed_input`` only documents the source
-    convention; arcs are symmetrized either way.
+    first-appearance order.  Directed arcs are symmetrized.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     index: dict = {}

@@ -49,43 +49,33 @@ class PowerResult:
     converged: bool
 
 
-def _power_norm(apply_op, n: int, tol: float, max_iters: int, seed: int = 0,
-                zero_scale: float = 1.0, start=None) -> PowerResult:
+def _unit_start(n: int, seed: int, positive: bool) -> np.ndarray:
+    """A seeded random unit vector; positive ones overlap every Perron vector."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(n) if positive else rng.standard_normal(n)
+    return x / float(np.linalg.norm(x))
+
+
+def _power_norm(apply_op, x: np.ndarray, tol: float,
+                max_iters: int) -> PowerResult:
     """Largest singular value of a symmetric operator by power iteration.
 
     The estimate at step t is ||M x_t|| for the unit iterate x_t; for
     symmetric M this sequence is nondecreasing and converges to the
     spectral norm even when the extreme eigenvalues come in a +/- pair
-    (where the Rayleigh quotient of the iterates would stall).  Starts
-    from the normalized all-ones vector for determinism; if the estimate
-    stagnates at numerical zero relative to ``zero_scale`` (the start was
-    annihilated, leaving only roundoff noise), restarts from a seeded
-    random vector before concluding the operator is null.
+    (where the Rayleigh quotient of the iterates would stall).  The start
+    ``x`` is a generic random vector, so a zero product means M is zero.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    null_tol = 1e-12 * zero_scale
-    if start is None:
-        x = np.full(n, 1.0 / np.sqrt(n))
-    else:
-        x = np.asarray(start, dtype=np.float64)
-        x = x / float(np.linalg.norm(x))
     prev = None
-    restarts = 0
     sigma = 0.0
     converged = False
     for _ in range(max_iters):
         y = apply_op(x)
         sigma = float(np.linalg.norm(y))
-        if sigma <= null_tol:
-            if restarts >= 2:
-                return PowerResult(value=0.0, vector=x, converged=True)
-            rng = np.random.default_rng([seed, restarts])
-            x = rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            prev = None
-            restarts += 1
-            continue
+        if sigma == 0.0:
+            return PowerResult(value=0.0, vector=x, converged=True)
         x = y / sigma
         if prev is not None and abs(sigma - prev) <= tol * max(1.0, sigma):
             converged = True
@@ -103,9 +93,8 @@ def spectral_norm(g: Graph, loading: float, tol: float = 1e-6,
     additionally copes with the loading = 0 bipartite case where the
     extreme eigenvalues are a +/- pair.
     """
-    scale = float(g.degrees.max(initial=0)) + abs(loading)
-    return _power_norm(lambda v: loaded_matvec(g, loading, v), g.n, tol,
-                       max_iters, zero_scale=scale)
+    return _power_norm(lambda v: loaded_matvec(g, loading, v),
+                       _unit_start(g.n, 0, positive=True), tol, max_iters)
 
 
 def leading_eigenpair(g: Graph, tol: float = 1e-6,
@@ -113,8 +102,8 @@ def leading_eigenpair(g: Graph, tol: float = 1e-6,
     """Leading (Perron) eigenpair of the adjacency matrix A.
 
     Power iteration runs on A + I so the target eigenvalue is strictly
-    dominant in magnitude even on bipartite graphs, starting from the
-    all-ones vector (which always overlaps the nonnegative Perron
+    dominant in magnitude even on bipartite graphs, starting from a
+    seeded positive vector (which always overlaps the nonnegative Perron
     direction).  Convergence is judged on the eigen-residual
     ||A u - theta u||, not on the value estimate: the value settles
     quadratically faster than the vector, and downstream deflation needs
@@ -123,7 +112,7 @@ def leading_eigenpair(g: Graph, tol: float = 1e-6,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.full(g.n, 1.0 / np.sqrt(g.n))
+    x = _unit_start(g.n, 0, positive=True)
     theta = 0.0
     converged = False
     for _ in range(max_iters):
@@ -147,8 +136,12 @@ def top_two_singular_values(g: Graph, tol: float = 1e-6,
     sigma1 and u1 come from the leading eigenpair (for a nonnegative
     symmetric matrix the top singular value is the Perron eigenvalue);
     sigma2 is the spectral norm of the deflated operator
-    x -> Ax - theta1 * u1 (u1^T x), estimated by a second power iteration
-    with a seeded random restart when the all-ones start is annihilated.
+    x -> Ax - theta1 * u1 (u1^T x), estimated by a second power iteration.
+    Its start is drawn independently of the Perron start: from the same
+    start, the part of a repeated top eigenvalue's eigenspace that the
+    start covers would be exactly the part the deflation removes.
+    sigma2 is inf when either iteration stops unconverged, since an
+    unconverged estimate may lie below the true value.
     """
     lead = leading_eigenpair(g, tol=tol, max_iters=max_iters)
     theta1, u1 = lead.value, lead.vector
@@ -157,17 +150,7 @@ def top_two_singular_values(g: Graph, tol: float = 1e-6,
     def deflated(v):
         return g.matrix.dot(v) - theta1 * u1 * float(u1 @ v)
 
-    # The all-ones start can be exactly orthogonal to the dominant
-    # eigenvector of the deflated operator (bipartite graphs with a
-    # part-swapping symmetry), and the iteration preserves that
-    # orthogonality forever.  Run a seeded random start as well and keep
-    # the larger estimate; norm-growth estimates never overshoot.
-    scale = max(sigma1, float(g.degrees.max(initial=0)))
-    second = _power_norm(deflated, g.n, tol, max_iters, seed=1,
-                         zero_scale=scale)
-    rng = np.random.default_rng(1)
-    z0 = rng.standard_normal(g.n)
-    alt = _power_norm(deflated, g.n, tol, max_iters, seed=2,
-                      zero_scale=scale, start=z0)
-    sigma2 = max(second.value, alt.value)
+    second = _power_norm(deflated, _unit_start(g.n, 1, positive=False),
+                         tol, max_iters)
+    sigma2 = second.value if lead.converged and second.converged else np.inf
     return sigma1, u1, sigma2

@@ -126,7 +126,7 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
     raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
 
 
-def run_sweep(g: Graph, loading: float, k_values, solver_names, seed: int = 0,
+def run_sweep(g: Graph, loading: float, k_values, solver_names,
               dataset: str = "graph", jobs: int = 1,
               fw_cfg: FwConfig = None, opt_cfg: OptimizerConfig = None):
     """Run every solver at every k; returns sorted ExperimentRecords.
@@ -134,7 +134,7 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names, seed: int = 0,
     ``k_values`` must be ascending and within [1, n]; unknown solver
     names are rejected up front.  A failing solver yields a "failed"
     record and the sweep continues.  Densities and iteration counts are
-    reproducible for a fixed seed; timings of course are not.
+    reproducible; timings of course are not.
     """
     ks = [int(k) for k in k_values]
     if ks != sorted(ks):

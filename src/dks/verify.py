@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fw import FwConfig, fw_multi_start, objective
+from .fw import FwConfig, fw_multi_start
 from .graph import Graph, ProblemInstance
 from .linalg import quadratic_form
 from .oracle import exact_dks, max_clique, simplex_qp_max
@@ -44,6 +44,12 @@ class SuiteResult:
     checks: int
     details: str = ""
     failure: str = field(default="")
+
+    def __post_init__(self):
+        # A suite that checked nothing has shown nothing: never a pass.
+        if self.checks == 0 and self.passed:
+            self.passed = False
+            self.failure = "no checks ran"
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -96,6 +96,19 @@ def test_bound_precomputed_eig_matches_fresh(two_triangles):
             density_upper_bound(two_triangles, k), abs=1e-9)
 
 
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("rest", ["path", "matching"])
+def test_bound_sound_when_eigensolves_stop_unconverged(rest, max_iters):
+    # K4 (density 1) beside a large component the iterations cannot settle on
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    if rest == "path":  # 10 000 vertices
+        other = [(i, i + 1) for i in range(4, 10003)]
+    else:  # 5 000 disjoint edges
+        other = [(i, i + 1) for i in range(4, 10004, 2)]
+    g = Graph.from_edges(other[-1][1] + 1, k4 + other)
+    assert density_upper_bound(g, 4, max_iters=max_iters) >= 1.0
+
+
 def test_bound_k_validation(triangle):
     with pytest.raises(ValueError):
         density_upper_bound(triangle, 1)

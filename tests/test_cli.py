@@ -173,6 +173,44 @@ def test_sweep_jobs_env(graph_file, tmp_path, capsys, monkeypatch):
     assert "wrote 2 records" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--max-iters", "-5"],
+    ["--max-iters", "0"],
+    ["--max-iters", "0", "--solver", "param"],
+    ["--gap-tol", "-1"],
+    ["--lr", "0"],
+])
+def test_solve_bad_values_exit_2(graph_file, capsys, flags):
+    code, _, err = run_cli(capsys, [
+        "solve", "--graph", graph_file, "--k", "2", *flags])
+    assert code == 2
+    assert err.startswith("dks: ")
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--jobs", "0"], None),
+    (["--jobs", "-3"], None),
+    ([], "abc"),
+    ([], "0"),
+])
+def test_sweep_bad_jobs_exit_2(graph_file, tmp_path, capsys, monkeypatch,
+                               flags, env):
+    if env is not None:
+        monkeypatch.setenv("DKS_JOBS", env)
+    code, _, err = run_cli(capsys, [
+        "sweep", "--graph", graph_file, "--k-list", "2", "--solvers", "greedy",
+        "--out", str(tmp_path / "r.csv"), *flags])
+    assert code == 2
+    assert err.startswith("dks: ")
+
+
+def test_verify_with_zero_checks_exits_1(capsys):
+    code, out, _ = run_cli(capsys, [
+        "verify", "--suite", "motzkin", "--max-n", "1"])
+    assert code == 1
+    assert "motzkin: FAIL (0 checks" in out
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, [
         "verify", "--suite", "motzkin", "--max-n", "4"])

@@ -5,7 +5,8 @@ import pytest
 
 from dks import (FwConfig, ProblemInstance, SolverError, fw_multi_start,
                  fw_solve)
-from dks.fw import is_integral, lmp_top_k, objective
+from dks.fw import is_integral, lmp_top_k
+from dks.linalg import quadratic_form
 from dks.points import is_feasible, random_feasible_point, uniform_point
 
 from conftest import random_graph
@@ -13,8 +14,9 @@ from conftest import random_graph
 
 def test_objective_examples(triangle):
     inst = ProblemInstance(graph=triangle, k=2, loading=1.0)
-    assert objective(inst, [1.0, 1.0, 0.0]) == 4.0
-    assert objective(inst, np.full(3, 2.0 / 3.0)) == pytest.approx(4.0)
+    assert quadratic_form(inst.graph, inst.loading, [1.0, 1.0, 0.0]) == 4.0
+    assert (quadratic_form(inst.graph, inst.loading, np.full(3, 2.0 / 3.0))
+            == pytest.approx(4.0))
 
 
 def test_lmp_top_k_is_indicator():
@@ -155,4 +157,4 @@ def test_uniform_start_used_by_default(star5):
     inst = ProblemInstance(graph=star5, k=2, loading=1.0)
     rep = fw_solve(inst, FwConfig(max_iters=1))
     assert rep.objective_trace[0] == pytest.approx(
-        objective(inst, uniform_point(5, 2)))
+        quadratic_form(inst.graph, inst.loading, uniform_point(5, 2)))

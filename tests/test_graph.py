@@ -93,7 +93,7 @@ def test_load_edge_list_gzip(tmp_path):
 def test_load_edge_list_merges_directed_duplicates(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("0 1\n1 0\n1 2\n")
-    g = load_edge_list(p, directed_input=True)
+    g = load_edge_list(p)
     assert g.m == 2
 
 

@@ -76,13 +76,20 @@ def test_leading_eigenpair_residual_is_small():
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_top_two_singular_values_known(triangle, single_edge, star5, path3, edgeless4):
+def test_top_two_singular_values_known(triangle, single_edge, star5, path3, edgeless4,
+                                       two_triangles):
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
     for g, want1, want2 in [
         (triangle, 2.0, 1.0),
         (single_edge, 1.0, 1.0),
         (star5, 2.0, 2.0),           # bipartite: eigenvalues come as +/- 2
         (path3, np.sqrt(2), np.sqrt(2)),
         (edgeless4, 0.0, 0.0),
+        # the deflated operator annihilates the all-ones vector on these
+        (c4, 2.0, 2.0),
+        (k33, 3.0, 3.0),
+        (two_triangles, 2.0, 2.0),   # repeated top eigenvalue
     ]:
         s1, u1, s2 = top_two_singular_values(g, tol=1e-12, max_iters=20000)
         assert s1 == pytest.approx(want1, abs=1e-8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dks import Graph
-from dks.fw import objective
+from dks.linalg import quadratic_form
 from dks.graph import ProblemInstance
 from dks.oracle import (dense_eig, exact_dks, max_clique, max_clique_size,
                         maximal_cliques, project_scaled_simplex,
@@ -43,7 +43,7 @@ def test_exact_dks_beats_every_subset():
         for subset in combinations(range(g.n), k):
             x = np.zeros(g.n)
             x[list(subset)] = 1.0
-            assert value >= objective(inst, x) - 1e-9
+            assert value >= quadratic_form(inst.graph, inst.loading, x) - 1e-9
         assert value == pytest.approx(
             2.0 * sel.induced_edges + 1.0 * k)
 

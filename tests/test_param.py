@@ -6,7 +6,7 @@ import pytest
 from dks import (OptimizerConfig, ProblemInstance, SolverError, param_solve,
                  theta_to_x)
 from dks.param import param_objective_and_gradient
-from dks.fw import objective
+from dks.linalg import quadratic_form
 
 from conftest import random_graph
 
@@ -54,7 +54,8 @@ def test_gradient_hand_case(triangle):
     # K3, k=2, lambda=1, theta=0: plain branch, grad = 3 * 0.25 each
     inst = ProblemInstance(graph=triangle, k=2, loading=1.0)
     value, grad = param_objective_and_gradient(inst, np.zeros(3))
-    assert value == pytest.approx(objective(inst, np.full(3, 0.5)))
+    assert value == pytest.approx(
+        quadratic_form(inst.graph, inst.loading, np.full(3, 0.5)))
     assert grad == pytest.approx([0.75, 0.75, 0.75])
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dks import ProblemInstance, round_to_integral, rounding_step
-from dks.fw import is_integral, objective
+from dks.fw import is_integral
+from dks.linalg import quadratic_form
 from dks.points import is_feasible, random_feasible_point
 from dks.rounding import make_selection, project_top_k
 
@@ -50,8 +51,9 @@ def test_rounding_step_hand_case(star5):
     assert delta == pytest.approx(0.5)
     assert is_edge
     assert x1.tolist() == [1.0, 0.0, 1.0, 0.0, 0.0]
-    assert objective(inst, x1) >= objective(inst, x0) - 1e-12
-    assert objective(inst, x1) == pytest.approx(4.0)
+    assert (quadratic_form(inst.graph, inst.loading, x1)
+            >= quadratic_form(inst.graph, inst.loading, x0) - 1e-12)
+    assert quadratic_form(inst.graph, inst.loading, x1) == pytest.approx(4.0)
 
 
 def test_rounding_step_needs_two_fractional(triangle):
@@ -71,10 +73,10 @@ def test_rounding_step_delta_identity():
         x = random_feasible_point(g.n, k, rng)
         if len(np.flatnonzero((x > 1e-9) & (x < 1 - 1e-9))) < 2:
             continue
-        before = objective(inst, x)
+        before = quadratic_form(inst.graph, inst.loading, x)
         s = g.matrix.dot(x)
         x1, i, j, delta, edge = rounding_step(inst, x)
-        gain = objective(inst, x1) - before
+        gain = quadratic_form(inst.graph, inst.loading, x1) - before
         dscore = (lam * x[i] + s[i]) - (lam * x[j] + s[j])
         curvature = (lam - 1.0) if edge else lam
         want = 2.0 * delta * dscore + 2.0 * curvature * delta * delta
@@ -90,7 +92,7 @@ def test_round_to_integral_hand_case():
     inst = ProblemInstance(graph=g, k=2, loading=1.0)
     x = round_to_integral(inst, np.array([0.5, 0.5, 1.0, 0.0]))
     assert x.tolist() == [1.0, 0.0, 1.0, 0.0]
-    assert objective(inst, x) == pytest.approx(4.0)
+    assert quadratic_form(inst.graph, inst.loading, x) == pytest.approx(4.0)
 
 
 def test_round_never_decreases_objective():
@@ -105,7 +107,8 @@ def test_round_never_decreases_objective():
         assert is_integral(x1)
         assert is_feasible(x1, k, tol=0.0)
         assert int(x1.sum()) == k
-        before, after = objective(inst, x0), objective(inst, x1)
+        before = quadratic_form(inst.graph, inst.loading, x0)
+        after = quadratic_form(inst.graph, inst.loading, x1)
         assert after >= before - 1e-9 * max(1.0, abs(before))
 
 
@@ -121,7 +124,8 @@ def test_round_strict_increase_above_loading_one():
         if len(frac) < 2:
             continue
         x1 = round_to_integral(inst, x0)
-        assert objective(inst, x1) > objective(inst, x0)
+        assert (quadratic_form(inst.graph, inst.loading, x1)
+                > quadratic_form(inst.graph, inst.loading, x0))
         seen += 1
 
 

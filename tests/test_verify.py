@@ -53,6 +53,13 @@ def test_suite_motzkin_quick():
     assert "PASS" in result.summary()
 
 
+def test_suite_with_zero_checks_fails():
+    result = suite_motzkin(max_n=1)
+    assert result.checks == 0
+    assert not result.passed
+    assert "FAIL" in result.summary()
+
+
 def test_suite_rounding_quick():
     result = suite_rounding(trials=300, max_n=15)
     assert result.passed
