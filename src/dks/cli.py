@@ -14,7 +14,7 @@ import os
 import sys
 
 from .fw import FwConfig
-from .graph import Graph, load_edge_list
+from .graph import Graph, induced_edge_count, load_edge_list
 from .param import OptimizerConfig
 from .report import (SOLVER_NAMES, format_float, load_selection_file,
                      run_sweep, score_selection, solve_with, write_report)
@@ -231,7 +231,7 @@ def cmd_score(args) -> int:
         "k": record.k,
         "lambda": float(format_float(record.loading)),
         "vertices": sorted(labels),
-        "induced_edges": int(round((record.objective - record.loading * record.k) / 2.0)),
+        "induced_edges": induced_edge_count(g, g.index_of(labels)),
         "normalized_density": float(format_float(record.normalized_density)),
         "objective": float(format_float(record.objective)),
         "upper_bound": None if record.upper_bound is None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import ProblemInstance
 from .linalg import loaded_matvec, spectral_norm
-from .points import is_feasible, uniform_point
+from .points import is_feasible, project_capped_simplex, uniform_point
 from .rounding import VertexSelection, project_top_k
 from .topk import indicator, top_k_indices
 
@@ -153,8 +153,6 @@ def fw_multi_start(inst: ProblemInstance, cfg: FwConfig = None,
     polytope.  Useful on symmetric instances where the uniform point is
     already first-order stationary.
     """
-    from .points import project_capped_simplex
-
     g, k = inst.graph, inst.k
     lips = spectral_norm(g, inst.loading).value
     yield fw_solve(inst, cfg, lipschitz=lips)

@@ -16,26 +16,36 @@ def is_feasible(x, k: int, tol: float = 1e-9) -> bool:
             and abs(float(x.sum()) - k) <= tol * max(1.0, k))
 
 
-def project_capped_simplex(u, k: int, tol: float = 1e-12) -> np.ndarray:
+def project_capped_simplex(u, k: int) -> np.ndarray:
     """Euclidean projection of ``u`` onto {x in [0,1]^n : sum x = k}.
 
-    The projection has the form clip(u - tau, 0, 1) for a scalar shift tau;
-    we find tau by bisection on the monotone map tau -> sum(clip(u - tau)).
+    The projection has the form clip(u - tau, 0, 1) for a scalar shift tau.
+    f(tau) = sum(clip(u - tau, 0, 1)) is nonincreasing and piecewise linear
+    with breakpoints u_i - 1 and u_i, so prefix sums over the sorted u give
+    f at every breakpoint, and tau is interpolated between the two adjacent
+    breakpoints that bracket k (Wang & Lu 2015, arXiv 1503.01002).
     """
     u = np.asarray(u, dtype=np.float64)
     n = u.shape[0]
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside [0, {n}]")
-    lo, hi = u.min() - 1.0, u.max()
-    for _ in range(100):
-        tau = 0.5 * (lo + hi)
-        s = np.clip(u - tau, 0.0, 1.0).sum()
-        if abs(s - k) <= tol:
-            break
-        if s > k:
-            lo = tau
-        else:
-            hi = tau
+    if k == 0:
+        return np.zeros(n)
+    v = np.sort(u)
+    tail = np.append(np.cumsum(v[::-1])[::-1], 0.0)  # tail[a] = v[a:].sum()
+
+    def excess(t):
+        # sum of (v_i - t) over v_i > t, for every t in the array at once
+        a = np.searchsorted(v, t, side="right")
+        return tail[a] - (n - a) * t
+
+    t = np.sort(np.concatenate([v - 1.0, v]))
+    f = excess(t) - excess(t + 1.0)
+    # f = n at min(u) - 1 (pinned against rounding) and f = 0 exactly at
+    # max(u), so with 0 < k <= n some p has f[p] >= k > f[p + 1].
+    f[0] = n
+    p = np.flatnonzero(f >= k)[-1]
+    tau = t[p] + (f[p] - k) / (f[p] - f[p + 1]) * (t[p + 1] - t[p])
     return np.clip(u - tau, 0.0, 1.0)
 
 

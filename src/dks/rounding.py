@@ -68,11 +68,27 @@ def _fractional_indices(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero((x > SNAP_TOL) & (x < 1.0 - SNAP_TOL))
 
 
-def _snap(x: np.ndarray, idx: int) -> None:
-    if x[idx] <= SNAP_TOL:
-        x[idx] = 0.0
-    elif x[idx] >= 1.0 - SNAP_TOL:
-        x[idx] = 1.0
+def _transfer(g: Graph, lam: float, x: np.ndarray, s: np.ndarray,
+              frac: np.ndarray):
+    """The step of ``rounding_step`` over the sorted fractional indices ``frac``.
+
+    Updates ``x`` and its neighbor sums ``s`` in place; returns (i, j, delta).
+    """
+    scores = lam * x[frac] + s[frac]
+    top = int(np.argmax(scores))
+    i = int(frac[top])
+    scores[top] = np.inf
+    j = int(frac[np.argmin(scores)])
+    delta = float(min(x[j], 1.0 - x[i]))
+    for v, change in ((i, delta), (j, -delta)):
+        old = x[v]
+        x[v] += change
+        if x[v] <= SNAP_TOL:
+            x[v] = 0.0
+        elif x[v] >= 1.0 - SNAP_TOL:
+            x[v] = 1.0
+        s[g.neighbors_of(v)] += x[v] - old
+    return i, j, delta
 
 
 def rounding_step(inst: ProblemInstance, x):
@@ -91,16 +107,7 @@ def rounding_step(inst: ProblemInstance, x):
     frac = _fractional_indices(x)
     if len(frac) < 2:
         raise ValueError("rounding step needs at least two fractional coordinates")
-    s = g.matrix.dot(x)
-    scores = inst.loading * x[frac] + s[frac]
-    i = int(frac[np.argmax(scores)])
-    others = frac[frac != i]
-    j = int(others[np.argmin(inst.loading * x[others] + s[others])])
-    delta = float(min(x[j], 1.0 - x[i]))
-    x[i] += delta
-    x[j] -= delta
-    _snap(x, i)
-    _snap(x, j)
+    i, j, delta = _transfer(g, inst.loading, x, g.matrix.dot(x), frac)
     return x, i, j, delta, g.has_edge(i, j)
 
 
@@ -121,37 +128,22 @@ def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
     near_int = (x <= SNAP_TOL) | (x >= 1.0 - SNAP_TOL)
     x[near_int] = np.round(x[near_int])
     s = g.matrix.dot(x)
-    frac = set(_fractional_indices(x).tolist())
+    # Coordinates outside ``frac`` are exactly 0 or 1, and a transfer snaps
+    # its pair or leaves it inside (0, 1); filtering keeps ``frac`` sorted.
+    frac = _fractional_indices(x)
 
     for _ in range(g.n + 1):
         if len(frac) < 2:
             break
-        idx = np.fromiter(frac, dtype=np.int64, count=len(frac))
-        idx.sort()
-        scores = lam * x[idx] + s[idx]
-        i = int(idx[np.argmax(scores)])
-        masked = np.where(idx == i, np.inf, scores)
-        j = int(idx[np.argmin(masked)])
-        delta = float(min(x[j], 1.0 - x[i]))
-        old_i, old_j = x[i], x[j]
-        x[i] += delta
-        x[j] -= delta
-        _snap(x, i)
-        _snap(x, j)
-        s[g.neighbors_of(i)] += x[i] - old_i
-        s[g.neighbors_of(j)] += x[j] - old_j
-        for v in (i, j):
-            if x[v] in (0.0, 1.0):
-                frac.discard(v)
+        _transfer(g, lam, x, s, frac)
+        frac = frac[(x[frac] > 0.0) & (x[frac] < 1.0)]
     else:
         raise RuntimeError("rounding failed to terminate (infeasible input?)")
 
-    if frac:
-        # One leftover fractional coordinate can only carry accumulated
-        # snap drift (< n * SNAP_TOL), so snapping it to the nearest
-        # integer is the exact budget repair.
-        v = frac.pop()
-        x[v] = np.round(x[v])
+    # At most one fractional coordinate is left, and it can only carry
+    # accumulated snap drift (< n * SNAP_TOL), so snapping it to the
+    # nearest integer is the exact budget repair.
+    x[frac] = np.round(x[frac])
 
     ones = int(np.round(x.sum()))
     if ones != inst.k:

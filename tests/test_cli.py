@@ -231,6 +231,19 @@ def test_score(graph_file, tmp_path, capsys):
     assert payload["upper_bound"] >= 1.0
 
 
+@pytest.mark.parametrize("loading", ["1e16", "1e17"])
+def test_score_counts_edges_at_large_lambda(graph_file, tmp_path, capsys, loading):
+    # lambda*k swamps 2*edges in the objective's float; the count must not
+    # be recovered from it
+    sel = tmp_path / "sel.txt"
+    sel.write_text("0\n1\n2\n")
+    code, out, _ = run_cli(capsys, [
+        "score", "--graph", graph_file, "--selection", str(sel),
+        "--lambda", loading, "--output", "json"])
+    assert code == 0
+    assert json.loads(out)["induced_edges"] == 3
+
+
 def test_score_duplicate_vertex_exits_3(graph_file, tmp_path, capsys):
     sel = tmp_path / "sel.txt"
     sel.write_text("0\n0\n1\n")

@@ -37,19 +37,41 @@ def test_projection_hand_cases():
     assert got == pytest.approx([1.0, 0.8, 0.2], abs=1e-9)
 
 
+def assert_exact_form(x, u):
+    # x = clip(u - tau, 0, 1): free coordinates share one shift tau,
+    # coordinates at 0 have u_i <= tau and coordinates at 1 have u_i >= tau + 1
+    tol = 1e-9 * max(1.0, np.abs(u).max())
+    free = (x > 0.0) & (x < 1.0)
+    if free.any():
+        shift = u[free] - x[free]
+        tau = shift[0]
+        assert np.all(np.abs(shift - tau) <= tol)
+        assert np.all(u[x == 0.0] <= tau + tol)
+        assert np.all(u[x == 1.0] >= tau + 1.0 - tol)
+    elif (x == 0.0).any() and (x == 1.0).any():
+        assert u[x == 0.0].max() <= u[x == 1.0].min() - 1.0 + tol
+
+
 def test_projection_feasibility_and_optimality():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        n = int(rng.integers(1, 25))
-        k = int(rng.integers(0, n + 1))
-        u = rng.standard_normal(n) * 3.0
-        x = project_capped_simplex(u, k)
-        assert is_feasible(x, k, tol=1e-8)
-        # optimality: no better point among random feasible competitors
-        d2 = ((x - u) ** 2).sum()
-        for _ in range(5):
-            y = random_feasible_point(n, k, rng)
-            assert d2 <= ((y - u) ** 2).sum() + 1e-8
+    inputs = [lambda n: rng.standard_normal(n) * 3.0,
+              # integer-valued: many ties, breakpoints that coincide
+              lambda n: rng.integers(-2, 3, n).astype(np.float64),
+              # magnitudes spread over eight decades
+              lambda n: rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 2, n)]
+    for draw in inputs:
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            k = int(rng.integers(0, n + 1))
+            u = draw(n)
+            x = project_capped_simplex(u, k)
+            assert is_feasible(x, k, tol=1e-8)
+            assert_exact_form(x, u)
+            # optimality: no better point among random feasible competitors
+            d2 = ((x - u) ** 2).sum()
+            for _ in range(5):
+                y = random_feasible_point(n, k, rng)
+                assert d2 <= ((y - u) ** 2).sum() + 1e-8
 
 
 def test_projection_preserves_order():

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dks import ProblemInstance, round_to_integral, rounding_step
+from dks import Graph, ProblemInstance, round_to_integral, rounding_step
 from dks.fw import is_integral
 from dks.linalg import quadratic_form
-from dks.points import is_feasible, random_feasible_point
+from dks.points import is_feasible, random_feasible_point, uniform_point
 from dks.rounding import make_selection, project_top_k
 
 from conftest import random_graph
@@ -152,3 +152,22 @@ def test_round_snaps_near_integral_noise(two_triangles):
     x0 = np.array([1.0 - 1e-12, 1e-12, 1.0, 1.0, 0.0, 0.0])
     x1 = round_to_integral(inst, x0)
     assert x1.tolist() == [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+
+
+C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+EDGELESS4 = Graph.from_edges(4, [])
+K33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+@pytest.mark.parametrize("graph, k, loading, want", [
+    (C6, 3, 1.0, [1, 0, 0, 0, 1, 1]),
+    (C6, 3, 1.5, [1, 0, 0, 0, 1, 1]),
+    (EDGELESS4, 2, 1.0, [1, 0, 1, 0]),
+    (K33, 2, 1.0, [1, 0, 0, 1, 0, 0]),
+], ids=["C6-1", "C6-1.5", "edgeless4", "K33"])
+def test_round_uniform_point_tie_breaking(graph, k, loading, want):
+    # these graphs are regular, so every score ties at the uniform point and
+    # the lowest-index choices alone fix the rounded vertex set
+    inst = ProblemInstance(graph=graph, k=k, loading=loading)
+    x = round_to_integral(inst, uniform_point(graph.n, k))
+    assert x.tolist() == want
