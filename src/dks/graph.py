@@ -9,12 +9,18 @@ kept so results can be reported in the input's id space.
 from __future__ import annotations
 
 import gzip
+import io
+import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse
+
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -59,18 +65,15 @@ class Graph:
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError(f"vertex id out of range [0, {n})")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        if pairs.size:
-            lo = np.minimum(pairs[:, 0], pairs[:, 1])
-            hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            uniq = np.unique(lo * np.int64(n) + hi)
-            lo, hi = uniq // n, uniq % n
-        else:
-            lo = hi = np.empty(0, dtype=np.int64)
-        m = len(lo)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        u, v = pairs[:, 0], pairs[:, 1]
+        # Every edge as both arcs keyed src*n + dst: one sort orders the arcs
+        # by source, then target, and puts duplicates next to each other.
+        keys = np.concatenate([u * n + v, v * n + u])
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        src, dst = np.divmod(keys[first], n)
+        m = len(src) // 2
         degrees = np.bincount(src, minlength=n).astype(np.int64)
         row_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=row_offsets[1:])
@@ -117,36 +120,102 @@ def load_edge_list(path) -> Graph:
 
     Lines starting with '#' and blank lines are skipped.  Files ending in
     '.gz' are decompressed transparently.  Exactly two integer tokens are
-    expected per line; anything else (including edge weights) is an error
-    reported with its line number.  Self-loops are removed, parallel and
-    reversed duplicates merged, and vertex ids compacted to 0..n-1 in
-    first-appearance order.  Directed arcs are symmetrized.
+    expected per line: ASCII digits with an optional sign, within int64.
+    Anything else (including edge weights, a trailing comment, or '1_000')
+    is an error reported with its line number.  Self-loops are removed,
+    parallel and reversed duplicates merged, and vertex ids compacted to
+    0..n-1 in first-appearance order.  Directed arcs are symmetrized.
+    """
+    labels, compact = _first_appearance_ids(_read_pairs(path).ravel())
+    return Graph.from_edges(len(labels), compact.reshape(-1, 2), original_ids=labels)
+
+
+def _read_pairs(path) -> np.ndarray:
+    """The file's edge lines as an (E, 2) int64 array of labels.
+
+    numpy's text parser reads the whole file in one call; only when it
+    fails is the text scanned line by line, to name the first bad line.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
-    index: dict = {}
-    edges = []
-    with opener(path, "rt", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected two vertex ids, got {len(tokens)} tokens")
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer vertex id") from None
-            for lbl in (u, v):
-                if lbl not in index:
-                    index[lbl] = len(index)
-            edges.append((index[u], index[v]))
-    if not edges:
+    with opener(path, "rb") as fh:
+        raw = fh.read()
+    if b"\r" in raw:  # the newline translation text-mode reading does
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        pairs = _parse_pairs(raw)
+    except ValueError as exc:
+        _raise_first_bad_line(path, raw)
+        raise ValueError(f"{path}: {exc}") from None
+    if not len(pairs):
         raise ValueError(f"{path}: no edges found")
-    labels = np.fromiter(index.keys(), dtype=np.int64, count=len(index))
-    return Graph.from_edges(len(index), np.array(edges, dtype=np.int64),
-                            original_ids=labels)
+    return pairs
+
+
+def _parse_pairs(raw: bytes) -> np.ndarray:
+    """The (E, 2) int64 labels of the edge lines; ValueError on any bad line."""
+    if _comment_after_data(raw):
+        raise ValueError("'#' after data")
+    with warnings.catch_warnings():
+        # An input with only comments and blank lines is reported as "no edges".
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        pairs = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+                           dtype=np.int64, ndmin=2, comments="#")
+    if not pairs.size:
+        return pairs.reshape(0, 2)
+    if pairs.shape[1] != 2:
+        raise ValueError(f"{pairs.shape[1]} columns")
+    return pairs
+
+
+def _comment_after_data(raw: bytes) -> bool:
+    """Whether some '#' follows data on its line.
+
+    Such a line is an error ('1 2 # note' has four tokens), but loadtxt
+    would cut the comment off and accept it.  Only the '#' characters are
+    visited, so a file whose comments are a header costs one scan.
+    """
+    pos = raw.find(b"#")
+    while pos >= 0:
+        start = raw.rfind(b"\n", 0, pos) + 1
+        if raw[start:pos].decode("utf-8", "replace").strip():
+            return True
+        end = raw.find(b"\n", pos)
+        if end < 0:
+            return False
+        pos = raw.find(b"#", end)
+    return False
+
+
+def _raise_first_bad_line(path, raw: bytes) -> None:
+    """Raise the ``path:lineno`` error for the first line breaking the grammar."""
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected two vertex ids, got {len(tokens)} tokens")
+        if not all(_INT_TOKEN.fullmatch(t) for t in tokens):
+            raise ValueError(f"{path}:{lineno}: non-integer vertex id")
+        if not all(_INT64_MIN <= int(t) <= _INT64_MAX for t in tokens):
+            raise ValueError(f"{path}:{lineno}: vertex id outside the int64 range")
+
+
+def _first_appearance_ids(labels: np.ndarray):
+    """Distinct labels in first-appearance order, and each label's index there."""
+    perm = np.argsort(labels)
+    ordered = labels[perm]
+    starts = np.ones(len(labels), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    group = np.cumsum(starts) - 1
+    first_seen = np.minimum.reduceat(perm, np.flatnonzero(starts))
+    order = np.argsort(first_seen)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    compact = np.empty_like(perm)
+    compact[perm] = rank[group]
+    return ordered[starts][order], compact
 
 
 @dataclass(frozen=True)

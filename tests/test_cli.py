@@ -80,6 +80,14 @@ def test_solve_missing_graph(tmp_path, capsys):
     assert "cannot load graph" in err
 
 
+def test_solve_label_outside_int64_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("1 2\n99999999999999999999 3\n")
+    code, _, err = run_cli(capsys, ["solve", "--graph", str(path), "--k", "1"])
+    assert code == 3
+    assert f"{path}:2: vertex id outside the int64 range" in err
+
+
 def test_solve_malformed_graph(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("0 1 2 junk\n")

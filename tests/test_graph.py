@@ -1,6 +1,7 @@
 """Graph construction, edge-list loading, and instance validation."""
 
 import gzip
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,35 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(3, [(-1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(0, [])
+
+
+def test_from_edges_matches_set_reference():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = 1 if trial < 5 else int(rng.integers(2, 40))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+        loops = np.repeat(rng.integers(0, n, size=(len(pairs) // 5, 1)), 2, axis=1)
+        pairs = np.concatenate([pairs, pairs[: len(pairs) // 3, ::-1],
+                                pairs[: len(pairs) // 4], loops])
+        pairs = pairs[rng.permutation(len(pairs))]
+        g = Graph.from_edges(n, pairs)
+
+        adjacent = [set() for _ in range(n)]
+        for a, b in pairs.tolist():
+            if a != b:
+                adjacent[a].add(b)
+                adjacent[b].add(a)
+        degrees = [len(s) for s in adjacent]
+        assert g.n == n
+        assert g.m == sum(degrees) // 2
+        assert g.degrees.tolist() == degrees
+        assert g.row_offsets.tolist() == [0] + np.cumsum(degrees).tolist()
+        assert g.neighbors.tolist() == [j for s in adjacent for j in sorted(s)]
+        for arr in (g.row_offsets, g.neighbors, g.degrees):
+            assert arr.dtype == np.int64
+        for bad in ([0, n], [-1, 0]):
+            with pytest.raises(ValueError, match="out of range"):
+                Graph.from_edges(n, np.vstack([pairs, [bad]]))
 
 
 def test_neighbor_lists_sorted_and_symmetric():
@@ -90,6 +120,48 @@ def test_load_edge_list_gzip(tmp_path):
     assert g.n == 3 and g.m == 2
 
 
+def test_load_edge_list_untidy_file_matches_reference(tmp_path):
+    rng = np.random.default_rng(3)
+    labels = [-7, 0, 3, 10**12, -(2**63), 2**63 - 1] + rng.integers(-10**9, 10**9, 40).tolist()
+    lines = ["# header line", ""]
+    for _ in range(200):
+        a, b = (labels[i] for i in rng.integers(0, len(labels), 2))
+        form = int(rng.integers(0, 6))
+        if form == 0:
+            lines.append(f"{b}\t{a}")
+        elif form == 1:
+            lines.append(f"  {a}   {a}  ")
+        elif form == 2:
+            lines.append(f"\t{a} \t {b}\t")
+        elif form == 3 and len(lines) > 2:
+            lines.append(lines[-1])
+        else:
+            lines.append(f"{a} {b}")
+    lines[60:60] = ["   # comment mid-file", "", " \t "]
+    text = "\r\n".join(lines) + "\r\n"
+    path = tmp_path / "untidy.txt"
+    path.write_bytes(text.encode())
+
+    index, edges = {}, set()
+    for line in text.split("\r\n"):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        u, v = (int(t) for t in tokens)
+        for label in (u, v):
+            index.setdefault(label, len(index))
+        if u != v:
+            edges.add(frozenset((index[u], index[v])))
+
+    g = load_edge_list(path)
+    assert g.original_ids.tolist() == list(index)
+    assert g.n == len(index)
+    assert g.m == len(edges)
+    assert {frozenset(e) for e in g.edges()} == edges
+    for i in range(g.n):
+        assert np.all(np.diff(g.neighbors_of(i)) > 0)
+
+
 def test_load_edge_list_merges_directed_duplicates(tmp_path):
     p = tmp_path / "d.txt"
     p.write_text("0 1\n1 0\n1 2\n")
@@ -108,6 +180,38 @@ def test_load_edge_list_errors(tmp_path):
     bad.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no edges"):
         load_edge_list(bad)
+
+    bad.write_text("0 1\n1 2 # note\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: expected two vertex ids, got 4 tokens"):
+        load_edge_list(bad)
+    bad.write_text("# header\n0 1\n\n1 2\n7\n2 3\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:5: expected two vertex ids, got 1 tokens"):
+        load_edge_list(bad)
+    bad.write_text("0 1\n\n0 x\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:3: non-integer vertex id"):
+        load_edge_list(bad)
+    bad.write_text("# only\n\n   \n# comments\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no edges"):
+            load_edge_list(bad)
+
+
+def test_load_edge_list_integer_grammar(tmp_path):
+    # Signed ASCII digits within int64 are vertex ids; underscores,
+    # non-ASCII digits and values outside int64 are errors at their line.
+    path = tmp_path / "g.txt"
+    path.write_text(f"+5 -5\n007 {2**63 - 1}\n{-(2**63)} +5\n")
+    g = load_edge_list(path)
+    assert g.original_ids.tolist() == [5, -5, 7, 2**63 - 1, -(2**63)]
+    assert g.m == 3
+    for line, message in [("1_000 2", "non-integer vertex id"),
+                          ("1 \u0663", "non-integer vertex id"),
+                          ("99999999999999999999 3", "vertex id outside the int64 range"),
+                          (f"{-(2**63) - 1} 3", "vertex id outside the int64 range")]:
+        path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"g\.txt:2: {message}"):
+            load_edge_list(path)
 
 
 def test_index_of_unknown_label(triangle):
