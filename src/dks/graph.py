@@ -158,6 +158,10 @@ def _parse_pairs(raw: bytes) -> np.ndarray:
     with warnings.catch_warnings():
         # An input with only comments and blank lines is reported as "no edges".
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy releases that still have the 1.23 fallback read a token that
+        # is not an integer ('1.5', '1e3', one outside int64) as a float,
+        # cast it and only warn; as an error, loadtxt raises ValueError.
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         pairs = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
                            dtype=np.int64, ndmin=2, comments="#")
     if not pairs.size:

@@ -1,6 +1,7 @@
 """Graph construction, edge-list loading, and instance validation."""
 
 import gzip
+import io
 import warnings
 
 import numpy as np
@@ -207,9 +208,39 @@ def test_load_edge_list_integer_grammar(tmp_path):
     assert g.m == 3
     for line, message in [("1_000 2", "non-integer vertex id"),
                           ("1 \u0663", "non-integer vertex id"),
+                          ("1.5 2", "non-integer vertex id"),
+                          ("1e3 2", "non-integer vertex id"),
                           ("99999999999999999999 3", "vertex id outside the int64 range"),
                           (f"{-(2**63) - 1} 3", "vertex id outside the int64 range")]:
         path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"g\.txt:2: {message}"):
+            load_edge_list(path)
+
+
+def test_load_edge_list_rejects_int_via_float_fallback(tmp_path, monkeypatch):
+    # Some numpy releases parse a token that is not an integer as a float,
+    # cast it and only emit a DeprecationWarning.  Mimic that parser: the
+    # loader must still report the line instead of loading the cast value.
+    real_loadtxt = np.loadtxt
+
+    def loadtxt_with_float_fallback(fname, dtype=float, **kwargs):
+        text = fname.read()
+        try:
+            return real_loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
+        except ValueError:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string") from exc
+            return real_loadtxt(io.StringIO(text), dtype=float, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_float_fallback)
+    path = tmp_path / "g.txt"
+    for line, message in [("1.5 2", "non-integer vertex id"),
+                          ("1e3 2", "non-integer vertex id"),
+                          ("99999999999999999999 3", "vertex id outside the int64 range")]:
+        path.write_text(f"0 1\n{line}\n")
         with pytest.raises(ValueError, match=rf"g\.txt:2: {message}"):
             load_edge_list(path)
 
