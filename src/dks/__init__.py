@@ -8,10 +8,10 @@ package provides:
 
 - sparse CSR graphs with SNAP-style edge-list loading (``graph``),
 - O(m+n) linear-algebra kernels and power-iteration spectral estimates
-  (``linalg``),
+  built on one Perron eigensolve (``linalg``),
 - a Frank-Wolfe solver whose linear step is a top-k selection (``fw``),
 - a sigmoid-parameterized unconstrained ascent solver with an in-repo
-  AdamW-style driver (``param``),
+  Adam optimizer (``param``),
 - monotone rounding and the top-k projection (``rounding``),
 - greedy and rank-1 eigenvector baselines plus a spectral density upper
   bound (``baselines``),

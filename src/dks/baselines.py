@@ -35,7 +35,7 @@ def greedy_feige(g: Graph, k: int, loading: float = 1.0) -> VertexSelection:
 
 
 def rank1_lrbo(g: Graph, k: int, loading: float = 1.0,
-               tol: float = 1e-10, max_iters: int = 20000) -> VertexSelection:
+               eig=None) -> VertexSelection:
     """Top-k entries of the leading adjacency eigenvector.
 
     The rank-1 surrogate objective x^T (theta1 u1 u1^T) x over 0/1
@@ -43,10 +43,13 @@ def rank1_lrbo(g: Graph, k: int, loading: float = 1.0,
     flipped so its largest-magnitude entry is positive).  On a
     disconnected graph u1 concentrates on the dominant component and the
     selection follows it; that is the documented behavior, not an error.
+    ``eig`` may pass a (sigma1, u1, sigma2) triple as in
+    ``density_upper_bound``; without it u1 is solved for at tolerance 1e-10.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} outside [1, {g.n}]")
-    u1 = leading_eigenpair(g, tol=tol, max_iters=max_iters).vector
+    u1 = (leading_eigenpair(g, tol=1e-10, max_iters=20000).vector
+          if eig is None else eig[1])
     return make_selection(g, top_k_indices(u1, k), loading)
 
 

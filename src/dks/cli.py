@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .fw import FwConfig
-from .graph import Graph, induced_edge_count, load_edge_list
+from .graph import Graph, ProblemInstance, induced_edge_count, load_edge_list
 from .param import OptimizerConfig
 from .report import (SOLVER_NAMES, format_float, load_selection_file,
                      run_sweep, score_selection, solve_with, write_report)
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run solvers across a list of k values")
     sweep.add_argument("--graph", required=True)
     sweep.add_argument("--k-list", required=True,
-                       help="comma-separated subgraph sizes, ascending")
+                       help="comma-separated distinct subgraph sizes")
     sweep.add_argument("--solvers", required=True,
                        help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     sweep.add_argument("--out", required=True, help="report file to write")
@@ -130,11 +131,6 @@ def cmd_solve(args) -> int:
     if not 1 <= args.k <= g.n:
         print(f"dks: --k must be in [1, {g.n}], got {args.k}", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    if args.loading < 0:
-        print("dks: --lambda must be nonnegative", file=sys.stderr)
-        return EXIT_BAD_FLAGS
-    from .graph import ProblemInstance
-
     inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
     given = args.max_iters is not None
     try:
@@ -167,15 +163,6 @@ def cmd_sweep(args) -> int:
     if not ks or not solvers:
         print("dks: --k-list and --solvers must be nonempty", file=sys.stderr)
         return EXIT_BAD_FLAGS
-    for name in solvers:
-        if name not in SOLVER_NAMES:
-            print(f"dks: unknown solver {name!r}; choose from "
-                  f"{','.join(SOLVER_NAMES)}", file=sys.stderr)
-            return EXIT_BAD_FLAGS
-    for k in ks:
-        if not 1 <= k <= g.n:
-            print(f"dks: k={k} outside [1, {g.n}]", file=sys.stderr)
-            return EXIT_BAD_FLAGS
     jobs = args.jobs
     if jobs is None:
         env = os.environ.get("DKS_JOBS", "")
@@ -190,6 +177,10 @@ def cmd_sweep(args) -> int:
     try:
         records = run_sweep(g, args.loading, ks, solvers,
                             dataset=os.path.basename(args.graph), jobs=jobs)
+    except ValueError as exc:
+        # run_sweep checks its k values and solver names before any work
+        print(f"dks: {exc}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     except Exception as exc:  # noqa: BLE001
         print(f"dks: sweep failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -248,6 +239,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on flag errors and 0 on --help; pass both through.
         return int(exc.code or 0)
+    loading = getattr(args, "loading", 0.0)
+    if not 0 <= loading < math.inf:
+        print(f"dks: --lambda must be finite and nonnegative, got {loading}",
+              file=sys.stderr)
+        return EXIT_BAD_FLAGS
     handlers = {"solve": cmd_solve, "sweep": cmd_sweep,
                 "verify": cmd_verify, "score": cmd_score}
     try:

@@ -23,6 +23,9 @@ from .topk import indicator, top_k_indices
 
 STEP_RULES = ("option1", "option2")
 
+# How far fw_multi_start pushes the uniform point toward each vertex.
+MULTI_START_PERTURBATION = 0.5
+
 
 class SolverError(RuntimeError):
     """A solver detected an internal inconsistency or diverged."""
@@ -45,8 +48,8 @@ class FwConfig:
             raise ValueError(f"step_rule must be one of {STEP_RULES}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.gap_tol is not None and self.gap_tol < 0:
-            raise ValueError("gap_tol must be nonnegative")
+        if self.gap_tol is not None and not 0 <= self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be finite and nonnegative")
 
 
 @dataclass
@@ -84,8 +87,8 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
     returns itself stops immediately) or when the iteration budget runs
     out.  The reported selection is always the top-k projection of the
     final point, whether or not that point is integral.  ``lipschitz``
-    overrides the power-iteration estimate of ||A + loading*I||_2 (useful
-    for multi-start runs that share one estimate).
+    overrides the estimate of ||A + loading*I||_2 = theta1 + loading from
+    ``spectral_norm`` (callers that already hold theta1 pass it in).
     """
     t_start = time.perf_counter()
     cfg = cfg or FwConfig()
@@ -144,14 +147,13 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
     )
 
 
-def fw_multi_start(inst: ProblemInstance, cfg: FwConfig = None,
-                   perturbation: float = 0.5):
+def fw_multi_start(inst: ProblemInstance, cfg: FwConfig = None):
     """Default start plus one start nudged toward each vertex.
 
     Yields the SolveReport of the uniform start followed by n runs whose
-    starts are the projection of uniform + perturbation*e_j back onto the
-    polytope.  Useful on symmetric instances where the uniform point is
-    already first-order stationary.
+    starts are the projection of uniform + MULTI_START_PERTURBATION * e_j
+    back onto the polytope.  Useful on symmetric instances where the
+    uniform point is already first-order stationary.
     """
     g, k = inst.graph, inst.k
     lips = spectral_norm(g, inst.loading).value
@@ -159,6 +161,6 @@ def fw_multi_start(inst: ProblemInstance, cfg: FwConfig = None,
     base = uniform_point(g.n, k)
     for j in range(g.n):
         bumped = base.copy()
-        bumped[j] += perturbation
+        bumped[j] += MULTI_START_PERTURBATION
         yield fw_solve(inst, cfg, x0=project_capped_simplex(bumped, k),
                        lipschitz=lips)

@@ -237,8 +237,8 @@ class ProblemInstance:
     def __post_init__(self):
         if not 1 <= self.k <= self.graph.n:
             raise ValueError(f"k={self.k} outside [1, {self.graph.n}]")
-        if self.loading < 0:
-            raise ValueError("loading must be nonnegative")
+        if not 0 <= self.loading < np.inf:
+            raise ValueError("loading must be finite and nonnegative")
 
 
 def induced_edge_count(g: Graph, subset) -> int:

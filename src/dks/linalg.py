@@ -3,8 +3,9 @@
 Everything here runs in O(m + n) per pass over the graph: the loaded
 mat-vec (A + loading*I)x, the quadratic form x^T(A + loading*I)x, and
 power-iteration estimates of the spectral quantities the solvers and the
-density bound need (spectral norm, leading eigenpair, second singular
-value via deflation).
+density bound need.  One iteration finds the Perron pair (theta1, u1) of
+A; the spectral norm of A + loading*I is read off it, and a second,
+deflated iteration gives the second singular value.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class PowerResult:
     """Outcome of a power-iteration estimate.
 
     ``value`` is the spectral estimate, ``vector`` the final unit iterate,
-    ``converged`` whether successive estimates settled within tolerance.
+    ``converged`` whether the eigen-residual fell within tolerance.
     An unconverged result is still the best available estimate, not an
     error (callers use it as a step-size safeguard).
     """
@@ -54,47 +55,6 @@ def _unit_start(n: int, seed: int, positive: bool) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.random(n) if positive else rng.standard_normal(n)
     return x / float(np.linalg.norm(x))
-
-
-def _power_norm(apply_op, x: np.ndarray, tol: float,
-                max_iters: int) -> PowerResult:
-    """Largest singular value of a symmetric operator by power iteration.
-
-    The estimate at step t is ||M x_t|| for the unit iterate x_t; for
-    symmetric M this sequence is nondecreasing and converges to the
-    spectral norm even when the extreme eigenvalues come in a +/- pair
-    (where the Rayleigh quotient of the iterates would stall).  The start
-    ``x`` is a generic random vector, so a zero product means M is zero.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    prev = None
-    sigma = 0.0
-    converged = False
-    for _ in range(max_iters):
-        y = apply_op(x)
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return PowerResult(value=0.0, vector=x, converged=True)
-        x = y / sigma
-        if prev is not None and abs(sigma - prev) <= tol * max(1.0, sigma):
-            converged = True
-            break
-        prev = sigma
-    return PowerResult(value=sigma, vector=x, converged=converged)
-
-
-def spectral_norm(g: Graph, loading: float, tol: float = 1e-6,
-                  max_iters: int = 1000) -> PowerResult:
-    """Estimate ||A + loading*I||_2 by power iteration.
-
-    For loading >= 0 the matrix is entrywise nonnegative, so the spectral
-    norm equals its largest eigenvalue; the norm-growth estimate used here
-    additionally copes with the loading = 0 bipartite case where the
-    extreme eigenvalues are a +/- pair.
-    """
-    return _power_norm(lambda v: loaded_matvec(g, loading, v),
-                       _unit_start(g.n, 0, positive=True), tol, max_iters)
 
 
 def leading_eigenpair(g: Graph, tol: float = 1e-6,
@@ -129,6 +89,21 @@ def leading_eigenpair(g: Graph, tol: float = 1e-6,
     return PowerResult(value=theta, vector=x, converged=converged)
 
 
+def spectral_norm(g: Graph, loading: float, tol: float = 1e-6,
+                  max_iters: int = 1000) -> PowerResult:
+    """||A + loading*I||_2 = theta1 + loading, from ``leading_eigenpair``.
+
+    The identity holds for loading >= 0, where the matrix is entrywise
+    nonnegative, even on a bipartite graph (where -theta1 is also an
+    eigenvalue of A).  ``tol`` is the eigen-residual tolerance.
+    """
+    if not loading >= 0:
+        raise ValueError("loading must be nonnegative")
+    lead = leading_eigenpair(g, tol=tol, max_iters=max_iters)
+    return PowerResult(value=lead.value + loading, vector=lead.vector,
+                       converged=lead.converged)
+
+
 def top_two_singular_values(g: Graph, tol: float = 1e-6,
                             max_iters: int = 1000):
     """(sigma1, u1, sigma2) of the adjacency matrix A.
@@ -136,21 +111,34 @@ def top_two_singular_values(g: Graph, tol: float = 1e-6,
     sigma1 and u1 come from the leading eigenpair (for a nonnegative
     symmetric matrix the top singular value is the Perron eigenvalue);
     sigma2 is the spectral norm of the deflated operator
-    x -> Ax - theta1 * u1 (u1^T x), estimated by a second power iteration.
-    Its start is drawn independently of the Perron start: from the same
-    start, the part of a repeated top eigenvalue's eigenspace that the
-    start covers would be exactly the part the deflation removes.
-    sigma2 is inf when either iteration stops unconverged, since an
-    unconverged estimate may lie below the true value.
+    M: x -> Ax - theta1 * u1 (u1^T x), estimated by a second power
+    iteration.  Its estimate at step t is ||M x_t|| for the unit iterate
+    x_t; for symmetric M this sequence is nondecreasing and converges to
+    the spectral norm even when the deflated spectrum's extremes are a
+    +/- pair (where a Rayleigh quotient would stall).  Its start is drawn
+    independently of the Perron start: from the same start, the part of
+    a repeated top eigenvalue's eigenspace that the start covers would be
+    exactly the part the deflation removes.  That start is generic, so a
+    zero product means M is zero.  sigma2 is inf when either iteration
+    stops unconverged, since an unconverged estimate may lie below the
+    true value.
     """
     lead = leading_eigenpair(g, tol=tol, max_iters=max_iters)
     theta1, u1 = lead.value, lead.vector
-    sigma1 = max(theta1, 0.0)
-
-    def deflated(v):
-        return g.matrix.dot(v) - theta1 * u1 * float(u1 @ v)
-
-    second = _power_norm(deflated, _unit_start(g.n, 1, positive=False),
-                         tol, max_iters)
-    sigma2 = second.value if lead.converged and second.converged else np.inf
-    return sigma1, u1, sigma2
+    x = _unit_start(g.n, 1, positive=False)
+    sigma2, prev = 0.0, None
+    converged = False
+    for _ in range(max_iters):
+        y = g.matrix.dot(x) - theta1 * u1 * float(u1 @ x)
+        sigma2 = float(np.linalg.norm(y))
+        if sigma2 == 0.0:
+            converged = True
+            break
+        x = y / sigma2
+        if prev is not None and abs(sigma2 - prev) <= tol * max(1.0, sigma2):
+            converged = True
+            break
+        prev = sigma2
+    if not (lead.converged and converged):
+        sigma2 = np.inf
+    return max(theta1, 0.0), u1, sigma2

@@ -5,9 +5,8 @@ the budget set {x in [0,1]^n : sum x <= k} whenever the raw sigmoids
 exceed the budget.  The objective pulled back to theta-space is smooth
 except on the budget boundary, and its gradient is computable in
 O(m + n) via the rank-1 structure of the normalization Jacobian.  A
-self-contained decoupled-weight-decay adaptive-moment optimizer (AdamW)
-drives the ascent; defaults follow learning rate 3, 200 iterations,
-theta0 = 0.
+self-contained adaptive-moment optimizer (Adam) drives the ascent;
+defaults follow learning rate 3, 200 iterations, theta0 = 0.
 """
 
 from __future__ import annotations
@@ -25,22 +24,22 @@ from .points import is_feasible
 from .rounding import project_top_k
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerConfig:
-    """Adaptive-moment (AdamW-style) ascent settings."""
+    """Adaptive-moment (Adam) ascent settings."""
 
     learning_rate: float = 3.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
     max_iters: int = 200
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -119,14 +118,13 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
                 f"non-finite objective or gradient at iteration {t} "
                 "(learning rate too large?)")
         trace.append(value)
-        # Minimize the negated objective with the decoupled update.
+        # Minimize the negated objective.
         descent = -grad
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * descent
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * descent * descent
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        theta = theta - cfg.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + cfg.epsilon) + cfg.weight_decay * theta)
+        m = BETA1 * m + (1.0 - BETA1) * descent
+        v = BETA2 * v + (1.0 - BETA2) * descent * descent
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        theta = theta - cfg.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
 
     x = theta_to_x(theta, k)
     final_value, _ = param_objective_and_gradient(inst, theta)

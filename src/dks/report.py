@@ -105,10 +105,15 @@ def format_float(v: float) -> str:
 
 
 def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
-               opt_cfg: OptimizerConfig = None) -> SolveReport:
-    """Dispatch a solver by name onto a common SolveReport shape."""
+               opt_cfg: OptimizerConfig = None, eig=None) -> SolveReport:
+    """Dispatch a solver by name onto a common SolveReport shape.
+
+    ``eig``, a (sigma1, u1, sigma2) triple from ``top_two_singular_values``,
+    spares fw (Lipschitz constant sigma1 + loading) and rank1 their eigensolve.
+    """
     if name == "fw":
-        return fw_solve(inst, fw_cfg)
+        lips = None if eig is None else eig[0] + inst.loading
+        return fw_solve(inst, fw_cfg, lipschitz=lips)
     if name == "param":
         return param_solve(inst, opt_cfg)
     if name in ("greedy", "rank1"):
@@ -116,7 +121,7 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
         if name == "greedy":
             sel = greedy_feige(inst.graph, inst.k, inst.loading)
         else:
-            sel = rank1_lrbo(inst.graph, inst.k, inst.loading)
+            sel = rank1_lrbo(inst.graph, inst.k, inst.loading, eig=eig)
         x = np.zeros(inst.graph.n)
         x[sel.vertices] = 1.0
         return SolveReport(
@@ -131,14 +136,15 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
               fw_cfg: FwConfig = None, opt_cfg: OptimizerConfig = None):
     """Run every solver at every k; returns sorted ExperimentRecords.
 
-    ``k_values`` must be ascending and within [1, n]; unknown solver
-    names are rejected up front.  A failing solver yields a "failed"
+    ``k_values`` must be strictly ascending and within [1, n]; unknown
+    solver names are rejected up front.  One eigensolve serves the bound
+    and every fw and rank1 cell.  A failing solver yields a "failed"
     record and the sweep continues.  Densities and iteration counts are
     reproducible; timings of course are not.
     """
     ks = [int(k) for k in k_values]
-    if ks != sorted(ks):
-        raise ValueError("k values must be sorted ascending")
+    if any(a >= b for a, b in zip(ks, ks[1:])):
+        raise ValueError("k values must be sorted strictly ascending")
     for k in ks:
         if not 1 <= k <= g.n:
             raise ValueError(f"k={k} outside [1, {g.n}]")
@@ -154,7 +160,8 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
         k, solver = cell
         inst = ProblemInstance(graph=g, k=k, loading=loading)
         try:
-            rep = solve_with(solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg)
+            rep = solve_with(solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg,
+                             eig=eig)
             sel = rep.selection
             return ExperimentRecord(
                 dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,

@@ -186,13 +186,35 @@ def test_sweep_jobs_env(graph_file, tmp_path, capsys, monkeypatch):
     ["--max-iters", "0"],
     ["--max-iters", "0", "--solver", "param"],
     ["--gap-tol", "-1"],
+    ["--gap-tol", "nan"],
     ["--lr", "0"],
+    ["--lr", "nan", "--solver", "param"],
+    ["--lambda", "nan"],
+    ["--lambda", "inf"],
 ])
 def test_solve_bad_values_exit_2(graph_file, capsys, flags):
     code, _, err = run_cli(capsys, [
         "solve", "--graph", graph_file, "--k", "2", *flags])
     assert code == 2
     assert err.startswith("dks: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k-list", "2,3", "--solvers", "fw", "--lambda", "-1"],
+    ["sweep", "--k-list", "2,3", "--solvers", "fw", "--lambda", "nan"],
+    ["sweep", "--k-list", "2,2", "--solvers", "greedy"],
+    ["score", "--lambda", "-1"],
+    ["score", "--lambda", "nan"],
+])
+def test_sweep_and_score_bad_values_exit_2(graph_file, tmp_path, capsys, argv):
+    out, sel = tmp_path / "r.csv", tmp_path / "sel.txt"
+    sel.write_text("0\n1\n")
+    files = {"sweep": ["--out", str(out)], "score": ["--selection", str(sel)]}
+    code, _, err = run_cli(capsys, [*argv, "--graph", graph_file,
+                                    *files[argv[0]]])
+    assert code == 2
+    assert err.startswith("dks: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, env", [

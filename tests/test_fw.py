@@ -116,6 +116,9 @@ def test_config_validation():
         FwConfig(max_iters=0)
     with pytest.raises(ValueError):
         FwConfig(gap_tol=-1.0)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FwConfig(gap_tol=tol)
 
 
 def test_lipschitz_override_matches_default(two_triangles):

@@ -258,6 +258,9 @@ def test_problem_instance_validation(triangle):
         ProblemInstance(graph=triangle, k=4)
     with pytest.raises(ValueError):
         ProblemInstance(graph=triangle, k=2, loading=-0.5)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ProblemInstance(graph=triangle, k=2, loading=lam)
 
 
 def test_induced_edge_count(two_triangles):

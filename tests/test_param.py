@@ -168,8 +168,9 @@ def test_theta0_validation(triangle):
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            OptimizerConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)

@@ -1,5 +1,7 @@
 """Sweep records, serialization round-trips, and selection scoring."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from dks.report import (ExperimentRecord, format_float, load_selection_file,
                         read_report, run_sweep, score_selection, solve_with,
                         write_report)
 from dks.graph import ProblemInstance
+
+from conftest import random_graph
 
 
 def make_record(**overrides):
@@ -108,10 +112,55 @@ def test_run_sweep_failed_cell(star5):
 def test_run_sweep_validation(triangle):
     with pytest.raises(ValueError, match="sorted"):
         run_sweep(triangle, 1.0, [3, 2], ["greedy"])
+    with pytest.raises(ValueError, match="strictly"):
+        run_sweep(triangle, 1.0, [2, 2], ["greedy"])
     with pytest.raises(ValueError, match="outside"):
         run_sweep(triangle, 1.0, [4], ["greedy"])
     with pytest.raises(ValueError, match="unknown solver"):
         run_sweep(triangle, 1.0, [2], ["magic"])
+
+
+def test_run_sweep_runs_one_perron_iteration(monkeypatch, two_triangles, star5):
+    # one eigensolve serves the bound, the fw Lipschitz constant and rank1
+    import dks.linalg
+    import dks.report
+
+    original = dks.linalg.leading_eigenpair
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "dks"
+                and getattr(mod, "leading_eigenpair", None) is original):
+            monkeypatch.setattr(mod, "leading_eigenpair", counted)
+
+    chosen = {}
+    standalone = dks.report.solve_with
+
+    def recorded(name, inst, **kwargs):
+        rep = standalone(name, inst, **kwargs)
+        chosen[name, inst.k] = rep.selection.vertices
+        return rep
+
+    monkeypatch.setattr(dks.report, "solve_with", recorded)
+    rng = np.random.default_rng(11)
+    family = [two_triangles, star5] + [
+        random_graph(int(rng.integers(8, 25)), float(rng.uniform(0.2, 0.6)), rng)
+        for _ in range(4)]
+    for g in family:
+        ks = sorted({2, 3, g.n // 2, g.n})
+        calls.clear()
+        chosen.clear()
+        records = run_sweep(g, 1.0, ks, ["fw", "rank1"])
+        assert len(calls) == 1
+        assert all(r.status == "ok" for r in records)
+        assert len(chosen) == 2 * len(ks)
+        for (name, k), vertices in chosen.items():
+            alone = standalone(name, ProblemInstance(graph=g, k=k, loading=1.0))
+            np.testing.assert_array_equal(vertices, alone.selection.vertices)
 
 
 def test_run_sweep_jobs_match(two_triangles):
