@@ -237,8 +237,13 @@ class ProblemInstance:
     def __post_init__(self):
         if not 1 <= self.k <= self.graph.n:
             raise ValueError(f"k={self.k} outside [1, {self.graph.n}]")
-        if not 0 <= self.loading < np.inf:
-            raise ValueError("loading must be finite and nonnegative")
+        check_loading(self.loading)
+
+
+def check_loading(loading) -> None:
+    """Reject a diagonal loading that is NaN, infinite or negative."""
+    if not 0 <= loading < np.inf:
+        raise ValueError(f"loading must be finite and nonnegative, got {loading}")
 
 
 def induced_edge_count(g: Graph, subset) -> int:

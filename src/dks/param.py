@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import ProblemInstance
 from .fw import SolveReport, SolverError, is_integral
@@ -51,6 +50,9 @@ def theta_to_x(theta, k: int) -> np.ndarray:
     otherwise every coordinate is scaled by k/S.  Both branches agree on
     the boundary S = k, so the map is continuous everywhere.
     """
+    # Imported on first use, so that `import dks` does not load scipy.special.
+    from scipy.special import expit
+
     if k < 1:
         raise ValueError("k must be >= 1")
     sig = expit(np.asarray(theta, dtype=np.float64))
@@ -71,6 +73,8 @@ def param_objective_and_gradient(inst: ProblemInstance, theta):
     boundary S = k exactly, the plain-branch formula is the chosen
     subgradient.
     """
+    from scipy.special import expit
+
     theta = np.asarray(theta, dtype=np.float64)
     g, k, lam = inst.graph, inst.k, inst.loading
     sig = expit(theta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, ProblemInstance, induced_edge_count
+from .graph import Graph, ProblemInstance, check_loading, induced_edge_count
 from .points import is_feasible
 from .topk import top_k_indices
 
@@ -43,6 +43,7 @@ class VertexSelection:
 
 def make_selection(g: Graph, vertices, loading: float = 1.0) -> VertexSelection:
     """Build a VertexSelection with edge count and densities filled in."""
+    check_loading(loading)
     verts = np.sort(np.asarray(vertices, dtype=np.int64))
     if len(np.unique(verts)) != len(verts):
         raise ValueError("selection contains duplicate vertices")
@@ -68,27 +69,20 @@ def _fractional_indices(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero((x > SNAP_TOL) & (x < 1.0 - SNAP_TOL))
 
 
-def _transfer(g: Graph, lam: float, x: np.ndarray, s: np.ndarray,
-              frac: np.ndarray):
-    """The step of ``rounding_step`` over the sorted fractional indices ``frac``.
-
-    Updates ``x`` and its neighbor sums ``s`` in place; returns (i, j, delta).
-    """
-    scores = lam * x[frac] + s[frac]
-    top = int(np.argmax(scores))
-    i = int(frac[top])
-    scores[top] = np.inf
-    j = int(frac[np.argmin(scores)])
-    delta = float(min(x[j], 1.0 - x[i]))
-    for v, change in ((i, delta), (j, -delta)):
-        old = x[v]
-        x[v] += change
-        if x[v] <= SNAP_TOL:
-            x[v] = 0.0
-        elif x[v] >= 1.0 - SNAP_TOL:
-            x[v] = 1.0
-        s[g.neighbors_of(v)] += x[v] - old
-    return i, j, delta
+def _move(x: np.ndarray, s: np.ndarray, v: int, nbrs: np.ndarray,
+          change: float) -> float:
+    """Add ``change`` to x[v], snap it if it lands within SNAP_TOL of 0 or 1,
+    and carry the difference into the sums ``s`` over v's neighbors
+    ``nbrs``.  Returns the new x[v]."""
+    old = x.item(v)
+    new = old + change
+    if new <= SNAP_TOL:
+        new = 0.0
+    elif new >= 1.0 - SNAP_TOL:
+        new = 1.0
+    x[v] = new
+    s[nbrs] += new - old
+    return new
 
 
 def rounding_step(inst: ProblemInstance, x):
@@ -102,12 +96,20 @@ def rounding_step(inst: ProblemInstance, x):
     is nonnegative whenever loading >= 1.  Returns
     (new_x, i, j, delta, is_edge).
     """
-    g = inst.graph
+    g, lam = inst.graph, inst.loading
     x = np.asarray(x, dtype=np.float64).copy()
     frac = _fractional_indices(x)
     if len(frac) < 2:
         raise ValueError("rounding step needs at least two fractional coordinates")
-    i, j, delta = _transfer(g, inst.loading, x, g.matrix.dot(x), frac)
+    s = g.matrix.dot(x)
+    scores = lam * x[frac] + s[frac]
+    top = int(np.argmax(scores))
+    i = int(frac[top])
+    scores[top] = np.inf
+    j = int(frac[np.argmin(scores)])
+    delta = float(min(x[j], 1.0 - x[i]))
+    _move(x, s, i, g.neighbors_of(i), delta)
+    _move(x, s, j, g.neighbors_of(j), -delta)
     return x, i, j, delta, g.has_edge(i, j)
 
 
@@ -115,8 +117,14 @@ def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
     """Round a feasible fractional point to a 0/1 point with k ones.
 
     Requires loading >= 1 (below that the no-decrease guarantee fails).
-    Neighbor sums are maintained incrementally, so a full pass costs
-    O(sum of degrees of the touched vertices), not O(n*m).
+    Repeats the step of ``rounding_step`` until at most one coordinate is
+    fractional, with the same pairs, arithmetic and ties.  Each step makes
+    i or j integral, so there are at most n steps.  A step rescores only
+    N(i), N(j) and {i, j}, whose scores are the only ones it changes, and
+    finds the donor with one contiguous argmin over n.  The receiver is
+    re-picked with a full argmax only when it leaves the fractional set or
+    its score falls.  A pass thus costs O(deg i + deg j) array work per
+    step plus n per argmin.
     """
     g, lam = inst.graph, inst.loading
     if lam < 1.0:
@@ -128,21 +136,64 @@ def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
     near_int = (x <= SNAP_TOL) | (x >= 1.0 - SNAP_TOL)
     x[near_int] = np.round(x[near_int])
     s = g.matrix.dot(x)
-    # Coordinates outside ``frac`` are exactly 0 or 1, and a transfer snaps
-    # its pair or leaves it inside (0, 1); filtering keeps ``frac`` sorted.
+    lam = float(lam)  # so loading*x_v is a float64 product in Python as in numpy
+    # Coordinates outside ``frac`` are exactly 0 or 1, and a step snaps its
+    # pair or leaves it inside (0, 1), so only i and j ever leave the
+    # fractional set.  A score is loading*x_v + s_v; ``up`` and ``down``
+    # hold loading*x_v on fractional coordinates and +inf and -inf on the
+    # rest, so up + s and down + s are the scores with the integral
+    # coordinates pushed out of argmin and argmax.  ``lo`` holds up + s with
+    # +inf also on the receiver i, whose score is ``top``.
     frac = _fractional_indices(x)
+    up = np.full(g.n, np.inf)
+    up[frac] = lam * x[frac]
+    down = np.where(up < np.inf, up, -np.inf)
+    lo = up + s
+    i = int((down + s).argmax())
+    top = lo.item(i)
+    lo[i] = np.inf
+    live = len(frac)
+    nbrs, offsets = g.neighbors, g.row_offsets.tolist()
 
     for _ in range(g.n + 1):
-        if len(frac) < 2:
+        if live < 2:
             break
-        _transfer(g, lam, x, s, frac)
-        frac = frac[(x[frac] > 0.0) & (x[frac] < 1.0)]
+        j = int(lo.argmin())
+        delta = min(x.item(j), 1.0 - x.item(i))
+        ni = nbrs[offsets[i]:offsets[i + 1]]
+        nj = nbrs[offsets[j]:offsets[j + 1]]
+        for v, nv, change in ((i, ni, delta), (j, nj, -delta)):
+            new = _move(x, s, v, nv, change)
+            if 0.0 < new < 1.0:
+                up[v] = down[v] = lam * new
+            else:
+                up[v], down[v] = np.inf, -np.inf
+                live -= 1
+        # Sorted, so the first-index argmax over it is the lowest-index tie;
+        # the stable sort merges the two sorted neighbor lists in one pass.
+        touched = np.concatenate((ni, nj, (i, j)))
+        touched.sort(kind="stable")
+        st = s[touched]
+        lo[touched] = up[touched] + st
+        high = down[touched] + st
+        # Untouched scores did not change, and i beat all of them before
+        # the step.  Unless its own score fell, it still does, so the new
+        # receiver is the best touched one (i is touched).
+        if down.item(i) + s.item(i) < top:
+            scores = down + s
+            i = int(scores.argmax())
+            top = scores.item(i)
+        else:
+            best = int(high.argmax())
+            i, top = int(touched[best]), high.item(best)
+        lo[i] = np.inf
     else:
         raise RuntimeError("rounding failed to terminate (infeasible input?)")
 
     # At most one fractional coordinate is left, and it can only carry
     # accumulated snap drift (< n * SNAP_TOL), so snapping it to the
     # nearest integer is the exact budget repair.
+    frac = np.flatnonzero((x > 0.0) & (x < 1.0))
     x[frac] = np.round(x[frac])
 
     ones = int(np.round(x.sum()))

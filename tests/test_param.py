@@ -1,5 +1,9 @@
 """Sigmoid parameterization: mapping, analytic gradient, ascent driver."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -174,3 +178,13 @@ def test_optimizer_config_validation():
             OptimizerConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special is imported on first use by the param solver only
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, dks, dks.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout.strip() == "False"

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from dks import Graph, ProblemInstance, round_to_integral, rounding_step
+from dks import (Graph, ProblemInstance, greedy_feige, rank1_lrbo,
+                 round_to_integral, rounding_step, score_selection)
 from dks.fw import is_integral
 from dks.linalg import quadratic_form
 from dks.points import is_feasible, random_feasible_point, uniform_point
-from dks.rounding import make_selection, project_top_k
+from dks.rounding import SNAP_TOL, make_selection, project_top_k
 
 from conftest import random_graph
 
@@ -32,6 +33,18 @@ def test_make_selection_validation(triangle):
         make_selection(triangle, [0, 0])
     with pytest.raises(ValueError):
         make_selection(triangle, [0, 3])
+
+
+@pytest.mark.parametrize("loading", [np.nan, np.inf, -5.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("build", [
+    lambda g, lam: make_selection(g, [0, 1], lam),
+    lambda g, lam: greedy_feige(g, 2, lam),
+    lambda g, lam: rank1_lrbo(g, 2, lam),
+    lambda g, lam: score_selection(g, [0, 1], lam),
+], ids=["make_selection", "greedy_feige", "rank1_lrbo", "score_selection"])
+def test_selections_reject_bad_loading(triangle, build, loading):
+    with pytest.raises(ValueError, match="loading"):
+        build(triangle, loading)
 
 
 def test_project_top_k(two_triangles):
@@ -171,3 +184,106 @@ def test_round_uniform_point_tie_breaking(graph, k, loading, want):
     inst = ProblemInstance(graph=graph, k=k, loading=loading)
     x = round_to_integral(inst, uniform_point(graph.n, k))
     assert x.tolist() == want
+
+
+def _reference_round(inst, x):
+    """The scan loop ``round_to_integral`` replaced, kept verbatim as the
+    reference: every step rescores all fractional coordinates."""
+    g, lam = inst.graph, inst.loading
+    x = np.asarray(x, dtype=np.float64).copy()
+    near_int = (x <= SNAP_TOL) | (x >= 1.0 - SNAP_TOL)
+    x[near_int] = np.round(x[near_int])
+    s = g.matrix.dot(x)
+    frac = np.flatnonzero((x > SNAP_TOL) & (x < 1.0 - SNAP_TOL))
+    for _ in range(g.n + 1):
+        if len(frac) < 2:
+            break
+        scores = lam * x[frac] + s[frac]
+        top = int(np.argmax(scores))
+        i = int(frac[top])
+        scores[top] = np.inf
+        j = int(frac[np.argmin(scores)])
+        delta = float(min(x[j], 1.0 - x[i]))
+        for v, change in ((i, delta), (j, -delta)):
+            old = x[v]
+            x[v] += change
+            if x[v] <= SNAP_TOL:
+                x[v] = 0.0
+            elif x[v] >= 1.0 - SNAP_TOL:
+                x[v] = 1.0
+            s[g.neighbors_of(v)] += x[v] - old
+        frac = frac[(x[frac] > 0.0) & (x[frac] < 1.0)]
+    else:
+        raise RuntimeError("rounding failed to terminate (infeasible input?)")
+    x[frac] = np.round(x[frac])
+    ones = int(np.round(x.sum()))
+    if ones != inst.k:
+        scores = lam * x + g.matrix.dot(x)
+        if ones > inst.k:
+            on = np.flatnonzero(x == 1.0)
+            drop = on[np.argsort(scores[on], kind="stable")[: ones - inst.k]]
+            x[drop] = 0.0
+        else:
+            off = np.flatnonzero(x == 0.0)
+            add = off[np.argsort(-scores[off], kind="stable")[: inst.k - ones]]
+            x[add] = 1.0
+    return x
+
+
+def _relabel(n, edges, rng):
+    label = rng.permutation(n)
+    return Graph.from_edges(n, [(label[a], label[b]) for a, b in edges])
+
+
+def _hub_graph(n, hubs, rng):
+    """``hubs`` mutually adjacent hubs, each leaf joined to a random subset
+    of them, randomly relabelled so the hubs sit at any index."""
+    edges = [(a, b) for a in range(hubs) for b in range(a + 1, hubs)]
+    edges += [(h, v) for v in range(hubs, n) for h in range(hubs)
+              if rng.random() < 0.7]
+    return _relabel(n, edges, rng)
+
+
+def _equal_stars(stars, leaves, rng):
+    """Disjoint copies of one star.  Their hubs tie, so at loading 1 the
+    receiver's score can fall by an ulp below an untouched twin hub."""
+    size = leaves + 1
+    edges = [(c * size, c * size + t) for c in range(stars)
+             for t in range(1, size)]
+    return _relabel(stars * size, edges, rng)
+
+
+def _quarter_point(n, k, rng):
+    """A feasible point with every coordinate a multiple of 1/4, so many
+    scores tie exactly."""
+    units = rng.choice(4 * n, size=4 * k, replace=False) // 4
+    return np.bincount(units, minlength=n) / 4.0
+
+
+def test_round_matches_reference_scan_loop():
+    # The incremental loop must pick the same pairs with the same
+    # arithmetic as the scan loop, so the outputs are bit-identical.
+    rng = np.random.default_rng(60)
+    for case in range(1500):
+        n = int(rng.integers(2, 41))
+        kind, start = case % 3, (case // 3) % 3
+        loading = float(rng.choice([1.0, 1.5, 2.0]))
+        if kind == 0:
+            g = random_graph(n, float(rng.uniform(0.05, 0.9)), rng)
+        elif kind == 1:
+            g = _hub_graph(n, int(rng.integers(1, min(4, n) + 1)), rng)
+        else:
+            # equal stars from the uniform point at loading 1: the case
+            # where the receiver's score falls and the receiver is re-picked
+            g = _equal_stars(int(rng.integers(2, 5)), int(rng.integers(1, 9)), rng)
+            n, start, loading = g.n, 1, 1.0
+        k = int(rng.integers(1, n + 1))
+        inst = ProblemInstance(graph=g, k=k, loading=loading)
+        if start == 0:
+            x0 = random_feasible_point(n, k, rng)
+        elif start == 1:
+            x0 = uniform_point(n, k)
+        else:
+            x0 = _quarter_point(n, k, rng)
+        want = _reference_round(inst, x0)
+        assert np.array_equal(round_to_integral(inst, x0), want), case
