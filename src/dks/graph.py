@@ -8,19 +8,24 @@ kept so results can be reported in the input's id space.
 
 from __future__ import annotations
 
+import bz2
 import gzip
 import io
+import lzma
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+# The suffixes numpy's loadtxt decompresses when it gets a path; the
+# '#'-after-data guard must read the same text, so it opens them alike.
+_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
 
 
 @dataclass(frozen=True)
@@ -64,15 +69,21 @@ class Graph:
                            dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError(f"vertex id out of range [0, {n})")
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         u, v = pairs[:, 0], pairs[:, 1]
         # Every edge as both arcs keyed src*n + dst: one sort orders the arcs
         # by source, then target, and puts duplicates next to each other.
-        keys = np.concatenate([u * n + v, v * n + u])
+        # A key is a multiple of n+1 exactly when src == dst (src*n + dst is
+        # dst - src modulo n+1), so one mask drops duplicates and self-loops.
+        keys = np.empty(2 * len(pairs), dtype=np.int64)
+        np.multiply(u, n, out=keys[:len(pairs)])
+        keys[:len(pairs)] += v
+        np.multiply(v, n, out=keys[len(pairs):])
+        keys[len(pairs):] += u
         keys.sort()
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        src, dst = np.divmod(keys[first], n)
+        keep = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keep &= keys % (n + 1) != 0
+        src, dst = np.divmod(keys[keep], n)
         m = len(src) // 2
         degrees = np.bincount(src, minlength=n).astype(np.int64)
         row_offsets = np.zeros(n + 1, dtype=np.int64)
@@ -119,12 +130,13 @@ def load_edge_list(path) -> Graph:
     """Load a whitespace-separated edge list (SNAP style) into a Graph.
 
     Lines starting with '#' and blank lines are skipped.  Files ending in
-    '.gz' are decompressed transparently.  Exactly two integer tokens are
-    expected per line: ASCII digits with an optional sign, within int64.
-    Anything else (including edge weights, a trailing comment, or '1_000')
-    is an error reported with its line number.  Self-loops are removed,
-    parallel and reversed duplicates merged, and vertex ids compacted to
-    0..n-1 in first-appearance order.  Directed arcs are symmetrized.
+    '.gz', '.bz2', '.xz' or '.lzma' are decompressed transparently.  Exactly
+    two integer tokens are expected per line: ASCII digits with an optional
+    sign, within int64.  Anything else (including edge weights, a trailing
+    comment, or '1_000') is an error reported with its line number.
+    Self-loops are removed, parallel and reversed duplicates merged, and
+    vertex ids compacted to 0..n-1 in first-appearance order.  Directed
+    arcs are symmetrized.
     """
     labels, compact = _first_appearance_ids(_read_pairs(path).ravel())
     return Graph.from_edges(len(labels), compact.reshape(-1, 2), original_ids=labels)
@@ -136,25 +148,36 @@ def _read_pairs(path) -> np.ndarray:
     numpy's text parser reads the whole file in one call; only when it
     fails is the text scanned line by line, to name the first bad line.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        raw = fh.read()
-    if b"\r" in raw:  # the newline translation text-mode reading does
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        pairs = _parse_pairs(raw)
+        if _comment_after_data(_read_text_bytes(path)):
+            raise ValueError("'#' after data")
+        # numpy opens a string path through np.lib._datasource, which would
+        # fetch one that parses as a URL ('http://x.txt'); an absolute path
+        # never does.  Given a path, its C reader pulls the file in blocks.
+        pairs = _parse_pairs(os.path.abspath(os.fsdecode(path)))
     except ValueError as exc:
-        _raise_first_bad_line(path, raw)
+        _raise_first_bad_line(path, _read_text_bytes(path))
         raise ValueError(f"{path}: {exc}") from None
     if not len(pairs):
         raise ValueError(f"{path}: no edges found")
     return pairs
 
 
-def _parse_pairs(raw: bytes) -> np.ndarray:
+def _read_text_bytes(path) -> bytes:
+    """The file's bytes, decompressed by suffix, with newlines translated."""
+    opener = _OPENERS.get(os.path.splitext(os.fsdecode(path))[1], open)
+    try:
+        with opener(path, "rb") as fh:
+            raw = fh.read()
+    except lzma.LZMAError as exc:  # gzip and bz2 raise OSError on a corrupt stream
+        raise OSError(f"{path}: {exc}") from None
+    if b"\r" in raw:  # the newline translation text-mode reading does
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
+
+
+def _parse_pairs(source: str) -> np.ndarray:
     """The (E, 2) int64 labels of the edge lines; ValueError on any bad line."""
-    if _comment_after_data(raw):
-        raise ValueError("'#' after data")
     with warnings.catch_warnings():
         # An input with only comments and blank lines is reported as "no edges".
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -162,8 +185,8 @@ def _parse_pairs(raw: bytes) -> np.ndarray:
         # is not an integer ('1.5', '1e3', one outside int64) as a float,
         # cast it and only warn; as an error, loadtxt raises ValueError.
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        pairs = np.loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
-                           dtype=np.int64, ndmin=2, comments="#")
+        pairs = np.loadtxt(source, dtype=np.int64, ndmin=2, comments="#",
+                           encoding="utf-8")
     if not pairs.size:
         return pairs.reshape(0, 2)
     if pairs.shape[1] != 2:
@@ -208,18 +231,42 @@ def _raise_first_bad_line(path, raw: bytes) -> None:
 
 def _first_appearance_ids(labels: np.ndarray):
     """Distinct labels in first-appearance order, and each label's index there."""
-    perm = np.argsort(labels)
-    ordered = labels[perm]
+    perm, ordered = _stable_sort(labels)
     starts = np.ones(len(labels), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    group = np.cumsum(starts) - 1
-    first_seen = np.minimum.reduceat(perm, np.flatnonzero(starts))
+    group = np.cumsum(starts)
+    group -= 1
+    # The sort is stable, so each group's first position is where it first appears.
+    first_seen = perm[starts]
     order = np.argsort(first_seen)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     compact = np.empty_like(perm)
     compact[perm] = rank[group]
     return ordered[starts][order], compact
+
+
+def _stable_sort(labels: np.ndarray):
+    """The stable sorting permutation of int64 ``labels``, and the sorted labels.
+
+    A value sort is several times faster than an argsort, so each label is
+    packed with its position into one key, (label - min) << b | position,
+    where b bits hold any position.  Only when the label span leaves fewer
+    than 63 - b bits does it fall back to a stable argsort.
+    """
+    lo = int(labels.min())
+    b = (len(labels) - 1).bit_length()
+    if int(labels.max()) - lo >= 1 << (63 - b):
+        perm = np.argsort(labels, kind="stable")
+        return perm, labels[perm]
+    keys = labels - lo
+    keys <<= b
+    keys |= np.arange(len(labels), dtype=np.int64)
+    keys.sort()
+    perm = keys & ((1 << b) - 1)
+    keys >>= b
+    keys += lo
+    return perm, keys
 
 
 @dataclass(frozen=True)

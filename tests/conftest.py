@@ -1,6 +1,7 @@
 """Shared fixtures: the small named graphs used throughout the tests."""
 
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ def edgeless4():
 @pytest.fixture
 def k5():
     return Graph.from_edges(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+
+
+@pytest.fixture
+def no_network(monkeypatch):
+    """Fail the test on any attempt to resolve a host or open a connection."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("network access attempted")
+    monkeypatch.setattr(socket, "getaddrinfo", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    monkeypatch.setattr(socket.socket, "connect", refuse)
 
 
 def random_graph(n, p, rng):

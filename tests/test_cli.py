@@ -80,6 +80,13 @@ def test_solve_missing_graph(tmp_path, capsys):
     assert "cannot load graph" in err
 
 
+def test_solve_missing_url_shaped_graph(tmp_path, monkeypatch, capsys, no_network):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, ["solve", "--graph", "http://x.txt", "--k", "2"])
+    assert code == 3
+    assert "cannot load graph" in err
+
+
 def test_solve_label_outside_int64_exits_3(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text("1 2\n99999999999999999999 3\n")

@@ -1,7 +1,10 @@
 """Graph construction, edge-list loading, and instance validation."""
 
+import bz2
 import gzip
 import io
+import lzma
+import random
 import warnings
 
 import numpy as np
@@ -120,8 +123,22 @@ def test_load_edge_list_gzip(tmp_path):
     g = load_edge_list(p)
     assert g.n == 3 and g.m == 2
 
+    plain = tmp_path / "untidy.txt"
+    plain.write_bytes(untidy_text().encode())
+    packed = tmp_path / "untidy.txt.gz"
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    assert_same_graph(load_edge_list(packed), load_edge_list(plain))
 
-def test_load_edge_list_untidy_file_matches_reference(tmp_path):
+
+def assert_same_graph(g, h):
+    assert (g.n, g.m) == (h.n, h.m)
+    for name in ("row_offsets", "neighbors", "degrees", "original_ids"):
+        a, b = getattr(g, name), getattr(h, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def untidy_text():
+    """A seeded edge list with every form the grammar allows, CRLF-terminated."""
     rng = np.random.default_rng(3)
     labels = [-7, 0, 3, 10**12, -(2**63), 2**63 - 1] + rng.integers(-10**9, 10**9, 40).tolist()
     lines = ["# header line", ""]
@@ -139,7 +156,11 @@ def test_load_edge_list_untidy_file_matches_reference(tmp_path):
         else:
             lines.append(f"{a} {b}")
     lines[60:60] = ["   # comment mid-file", "", " \t "]
-    text = "\r\n".join(lines) + "\r\n"
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_load_edge_list_untidy_file_matches_reference(tmp_path):
+    text = untidy_text()
     path = tmp_path / "untidy.txt"
     path.write_bytes(text.encode())
 
@@ -161,6 +182,87 @@ def test_load_edge_list_untidy_file_matches_reference(tmp_path):
     assert {frozenset(e) for e in g.edges()} == edges
     for i in range(g.n):
         assert np.all(np.diff(g.neighbors_of(i)) > 0)
+
+
+@pytest.mark.parametrize("suffix, compress", [
+    (".bz2", bz2.compress), (".xz", lzma.compress),
+    (".lzma", lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE))],
+    ids=["bz2", "xz", "lzma"])
+def test_load_edge_list_bz2_and_xz(tmp_path, suffix, compress):
+    # numpy's parser decompresses these suffixes itself, so the loader's own
+    # read, which checks the grammar numpy does not, must decompress them too.
+    plain = tmp_path / "untidy.txt"
+    plain.write_bytes(untidy_text().encode())
+    packed = tmp_path / f"untidy.txt{suffix}"
+    packed.write_bytes(compress(plain.read_bytes()))
+    assert_same_graph(load_edge_list(packed), load_edge_list(plain))
+
+    bad = tmp_path / f"bad.txt{suffix}"
+    bad.write_bytes(compress(b"0 1\n1 2 # note\n"))
+    with pytest.raises(ValueError, match=r"bad\.txt\S*:2: expected two vertex ids, got 4 tokens"):
+        load_edge_list(bad)
+    bad.write_bytes(b"0 1\n1 2\n")  # not compressed at all
+    with pytest.raises(OSError):
+        load_edge_list(bad)
+
+
+def test_load_edge_list_url_shaped_path_stays_local(tmp_path, monkeypatch, no_network):
+    # numpy opens a relative string path as a URL when it parses as one; the
+    # loader must read 'http://x.txt' as the local file http:/x.txt.
+    (tmp_path / "http:").mkdir()
+    (tmp_path / "http:" / "x.txt").write_text("5 6\n6 7\n")
+    monkeypatch.chdir(tmp_path)
+    g = load_edge_list("http://x.txt")
+    assert g.original_ids.tolist() == [5, 6, 7]
+    assert_same_graph(g, load_edge_list(tmp_path / "http:" / "x.txt"))
+    with pytest.raises(FileNotFoundError):
+        load_edge_list("http://missing.txt")
+
+
+# 2 * ROUTE_LINES labels leave 63 - 7 bits for a label's offset from the minimum.
+ROUTE_LINES = 40
+PACK_LIMIT = 1 << (63 - (2 * ROUTE_LINES - 1).bit_length())
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-5, -5 + PACK_LIMIT - 1), (-5, -5 + PACK_LIMIT),
+    (-(2**63), -(2**63) + PACK_LIMIT - 1), (2**63 - 1 - PACK_LIMIT, 2**63 - 1),
+    (-(2**63), 2**63 - 1)],
+    ids=["inside", "outside", "inside-at-min", "outside-at-max", "int64-extremes"])
+def test_load_edge_list_both_compaction_routes(tmp_path, monkeypatch, lo, hi):
+    # Labels are packed with their positions into one int64 sort key while
+    # their span stays below PACK_LIMIT; at or above it the loader falls back
+    # to a stable argsort.  Both routes must give the first-appearance and
+    # edge-set reference.
+    rand = random.Random(f"{lo} {hi}")
+    pool = [lo, hi] + [rand.randint(lo, hi) for _ in range(12)]
+    lines = [(lo, hi), (hi, hi)] + [(rand.choice(pool), rand.choice(pool))
+                                    for _ in range(ROUTE_LINES - 2)]
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in lines))
+
+    index, adjacent = {}, {}
+    for u, v in lines:
+        for label in (u, v):
+            adjacent.setdefault(index.setdefault(label, len(index)), set())
+        if u != v:
+            adjacent[index[u]].add(index[v])
+            adjacent[index[v]].add(index[u])
+
+    kinds = []
+    real_argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return real_argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    g = load_edge_list(path)
+    assert ("stable" in kinds) == (hi - lo >= PACK_LIMIT)
+    assert g.original_ids.tolist() == list(index)
+    assert g.row_offsets.tolist() == [0] + np.cumsum(
+        [len(adjacent[i]) for i in range(len(index))]).tolist()
+    assert g.neighbors.tolist() == [j for i in range(len(index)) for j in sorted(adjacent[i])]
 
 
 def test_load_edge_list_merges_directed_duplicates(tmp_path):
@@ -224,7 +326,8 @@ def test_load_edge_list_rejects_int_via_float_fallback(tmp_path, monkeypatch):
     real_loadtxt = np.loadtxt
 
     def loadtxt_with_float_fallback(fname, dtype=float, **kwargs):
-        text = fname.read()
+        with open(fname, encoding=kwargs["encoding"]) as fh:  # a path, as the loader passes
+            text = fh.read()
         try:
             return real_loadtxt(io.StringIO(text), dtype=dtype, **kwargs)
         except ValueError:
