@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .fw import FwConfig
+from .fw import STEP_RULES, FwConfig
 from .graph import Graph, ProblemInstance, induced_edge_count, load_edge_list
 from .param import OptimizerConfig
 from .report import (SOLVER_NAMES, format_float, load_selection_file,
@@ -41,8 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lambda", dest="loading", type=float, default=1.0,
                        help="diagonal loading (default 1)")
     solve.add_argument("--solver", choices=SOLVER_NAMES, default="fw")
-    solve.add_argument("--step-rule", choices=("option1", "option2"),
-                       default="option1", help="Frank-Wolfe step-size rule")
+    solve.add_argument("--step-rule", choices=STEP_RULES, default="exact",
+                       help="Frank-Wolfe step-size rule (default: exact line "
+                            "search; option1/option2 are the paper's rules)")
     solve.add_argument("--max-iters", type=int, default=None,
                        help="iteration budget (default: 1000 fw / 200 param)")
     solve.add_argument("--gap-tol", type=float, default=None,
@@ -107,6 +108,9 @@ def _selection_payload(g: Graph, args, rep) -> dict:
         "objective": float(format_float(sel.objective_at_loading)),
         "iterations": rep.iterations,
         "converged": rep.converged,
+        # NaN (no gap: param, greedy, rank1) is not valid JSON
+        "fw_gap": (float(format_float(rep.fw_gap)) if math.isfinite(rep.fw_gap)
+                   else None),
         "integral_before_projection": rep.integral,
         "wall_time_s": rep.wall_time_s,
     }
@@ -123,6 +127,8 @@ def _print_payload(payload: dict, output: str) -> None:
             value = format_float(value)
         elif isinstance(value, bool):
             value = "true" if value else "false"
+        elif value is None:
+            value = "null"
         print(f"{key}: {value}")
 
 

@@ -2,9 +2,19 @@
 
 Maximizes x^T(A + loading*I)x over the polytope {x in [0,1]^n : sum x = k}.
 The linear maximization step is a top-k selection on the gradient, so one
-iteration costs O(m + n).  Two step-size rules are provided: "option1"
-(curvature-safeguarded exact ratio, monotone ascent) and "option2" (the
-simpler 2kL denominator).
+iteration costs O(m + n).  Three step-size rules are provided:
+
+- "exact" (the default): the exact line search on the segment from x to
+  the top-k vertex s.  The objective along it is a quadratic in the step,
+  and its curvature d^T Q d (Q = A + loading*I, d = s - x) comes from
+  quantities already in hand, so the rule needs no Lipschitz constant and
+  no eigensolve.
+- "option1": the short step gap / (L ||d||^2), with L = ||Q||_2 from a
+  power iteration; monotone ascent, as in the paper.
+- "option2": the fixed-upper-bound step gap / (2kL), as in the paper.
+
+The exact step never ends below the point option1's step reaches from the
+same iterate, since option1 maximizes a lower bound of the same quadratic.
 """
 
 from __future__ import annotations
@@ -15,13 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import ProblemInstance
+from .graph import ProblemInstance, induced_edge_count
 from .linalg import loaded_matvec, spectral_norm
 from .points import is_feasible, project_capped_simplex, uniform_point
 from .rounding import VertexSelection, project_top_k
 from .topk import indicator, top_k_indices
 
-STEP_RULES = ("option1", "option2")
+STEP_RULES = ("exact", "option1", "option2")
 
 # How far fw_multi_start pushes the uniform point toward each vertex.
 MULTI_START_PERTURBATION = 0.5
@@ -35,11 +45,15 @@ class SolverError(RuntimeError):
 class FwConfig:
     """Knobs for fw_solve.
 
-    ``gap_tol=None`` uses the adaptive default 1e-8 * (1 + |objective|);
-    an explicit value is treated as an absolute gap threshold.
+    ``step_rule`` is one of STEP_RULES.  The default "exact" line search
+    reads no Lipschitz constant; "option1" and "option2" are the paper's
+    rules and need ||A + loading*I||_2, which costs one power iteration
+    unless the caller passes it in.  ``gap_tol=None`` uses the adaptive
+    default 1e-8 * (1 + |objective|); an explicit value is treated as an
+    absolute gap threshold.
     """
 
-    step_rule: str = "option1"
+    step_rule: str = "exact"
     max_iters: int = 1000
     gap_tol: Optional[float] = None
 
@@ -78,6 +92,23 @@ def is_integral(x, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(x - np.round(x)) <= tol))
 
 
+def curvature(g, loading: float, top, qx, val: float) -> float:
+    """d^T Q d for d = 1_S - x, where S = ``top``, qx = Qx and val = x^T Q x.
+
+    d^T Q d = s^T Q s - 2 s^T Q x + x^T Q x, and s^T Q s = 2 e(S) + loading*|S|,
+    so the cost is one O(vol S) edge count plus a k-term sum.
+    """
+    sqs = 2.0 * induced_edge_count(g, top) + loading * len(top)
+    return sqs - 2.0 * float(qx[top].sum()) + val
+
+
+def exact_step(gap: float, curv: float) -> float:
+    """The step in [0, 1] maximizing val + 2*gamma*gap + gamma^2*curv (gap > 0)."""
+    if curv >= 0.0:
+        return 1.0
+    return min(1.0, gap / -curv)
+
+
 def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
              validate_iterates: bool = False, lipschitz: float = None) -> SolveReport:
     """Run Frank-Wolfe from x0 (default: the uniform point k/n).
@@ -86,9 +117,10 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
     (a first-order stationarity certificate; a vertex whose top-k map
     returns itself stops immediately) or when the iteration budget runs
     out.  The reported selection is always the top-k projection of the
-    final point, whether or not that point is integral.  ``lipschitz``
-    overrides the estimate of ||A + loading*I||_2 = theta1 + loading from
-    ``spectral_norm`` (callers that already hold theta1 pass it in).
+    final point, whether or not that point is integral.  The "option1"
+    and "option2" rules need L = ||A + loading*I||_2 = theta1 + loading:
+    ``lipschitz`` gives it, and otherwise ``spectral_norm`` estimates it.
+    The "exact" rule reads no L, and ignores ``lipschitz``.
     """
     t_start = time.perf_counter()
     cfg = cfg or FwConfig()
@@ -100,7 +132,11 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
         if not is_feasible(x, k, tol=1e-9):
             raise ValueError("x0 is not feasible for the box-and-sum polytope")
 
-    lips = spectral_norm(g, lam).value if lipschitz is None else float(lipschitz)
+    exact = cfg.step_rule == "exact"
+    if exact:
+        lips = None
+    else:
+        lips = spectral_norm(g, lam).value if lipschitz is None else float(lipschitz)
     trace = []
     iterations = 0
     converged = False
@@ -110,7 +146,8 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
         grad = loaded_matvec(g, lam, x)
         val = float(x @ grad)
         trace.append(val)
-        s = lmp_top_k(grad, k)
+        top = top_k_indices(grad, k)
+        s = indicator(top, g.n)
         d = s - x
         gap = float(grad @ d)
         if gap < -1e-9 * (1.0 + abs(val)):
@@ -122,11 +159,12 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
             break
         if t == cfg.max_iters:
             break
-        if lips <= 0.0:
+        if exact:
+            gamma = exact_step(gap, curvature(g, lam, top, grad, val))
+        elif lips <= 0.0:
             raise SolverError("nonpositive Lipschitz estimate with nonzero gradient")
-        dnorm2 = float(d @ d)
-        if cfg.step_rule == "option1":
-            gamma = min(1.0, gap / (lips * dnorm2))
+        elif cfg.step_rule == "option1":
+            gamma = min(1.0, gap / (lips * float(d @ d)))
         else:
             gamma = min(1.0, gap / (2.0 * k * lips))
         x = x + gamma * d
@@ -156,7 +194,8 @@ def fw_multi_start(inst: ProblemInstance, cfg: FwConfig = None):
     uniform point is already first-order stationary.
     """
     g, k = inst.graph, inst.k
-    lips = spectral_norm(g, inst.loading).value
+    cfg = cfg or FwConfig()
+    lips = None if cfg.step_rule == "exact" else spectral_norm(g, inst.loading).value
     yield fw_solve(inst, cfg, lipschitz=lips)
     base = uniform_point(g.n, k)
     for j in range(g.n):

@@ -294,7 +294,12 @@ def check_loading(loading) -> None:
 
 
 def induced_edge_count(g: Graph, subset) -> int:
-    """Number of edges with both endpoints in ``subset`` (each counted once)."""
+    """Number of edges with both endpoints in ``subset`` (each counted once).
+
+    One O(vol S) gather: the positions of every neighbour-list entry of the
+    subset are built with ``np.repeat``, and one mask lookup counts the
+    entries whose neighbour is in the subset too.
+    """
     s = np.asarray(subset, dtype=np.int64)
     if s.size and (s.min() < 0 or s.max() >= g.n):
         raise ValueError("vertex id out of range")
@@ -302,10 +307,12 @@ def induced_edge_count(g: Graph, subset) -> int:
         raise ValueError("subset contains duplicate vertices")
     mask = np.zeros(g.n, dtype=bool)
     mask[s] = True
-    total = 0
-    for v in s:
-        total += int(np.count_nonzero(mask[g.neighbors_of(v)]))
-    return total // 2
+    degs = g.degrees[s]
+    ends = np.cumsum(degs)
+    # entry j of the gather is position j - (ends - degs)[v] of v's list
+    pos = np.repeat(g.row_offsets[s] - (ends - degs), degs)
+    pos += np.arange(len(pos))
+    return int(np.count_nonzero(mask[g.neighbors[pos]])) // 2
 
 
 def normalized_density(g: Graph, subset) -> float:

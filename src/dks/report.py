@@ -109,7 +109,9 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
     """Dispatch a solver by name onto a common SolveReport shape.
 
     ``eig``, a (sigma1, u1, sigma2) triple from ``top_two_singular_values``,
-    spares fw (Lipschitz constant sigma1 + loading) and rank1 their eigensolve.
+    spares rank1 its eigensolve, and fw's "option1"/"option2" rules theirs
+    (Lipschitz constant sigma1 + loading).  fw's default "exact" rule reads
+    no Lipschitz constant, so a sweep cell and a standalone solve agree.
     """
     if name == "fw":
         lips = None if eig is None else eig[0] + inst.loading

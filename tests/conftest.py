@@ -2,10 +2,12 @@
 
 import os
 import socket
+import sys
 
 import numpy as np
 import pytest
 
+import dks.linalg
 from dks import Graph
 
 
@@ -54,6 +56,27 @@ def no_network(monkeypatch):
     monkeypatch.setattr(socket, "getaddrinfo", refuse)
     monkeypatch.setattr(socket, "create_connection", refuse)
     monkeypatch.setattr(socket.socket, "connect", refuse)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Count calls of ``dks.linalg.leading_eigenpair``, however a module got it.
+
+    Returns the list a wrapper appends to on every call; every dks module
+    that holds the function under that name is patched.
+    """
+    original = dks.linalg.leading_eigenpair
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "dks"
+                and getattr(mod, "leading_eigenpair", None) is original):
+            monkeypatch.setattr(mod, "leading_eigenpair", counted)
+    return calls
 
 
 def random_graph(n, p, rng):

@@ -303,3 +303,40 @@ def test_score_missing_selection_exits_3(graph_file, tmp_path, capsys):
         "score", "--graph", graph_file,
         "--selection", str(tmp_path / "nope.txt")])
     assert code == 3
+
+
+def test_solve_json_fw_gap(graph_file, capsys):
+    # fw reports its gap certificate; greedy has none and prints null,
+    # since NaN is not valid JSON
+    _, out, _ = run_cli(capsys, [
+        "solve", "--graph", graph_file, "--k", "3", "--output", "json"])
+    payload = json.loads(out)
+    assert payload["solver"] == "fw-exact"
+    assert isinstance(payload["fw_gap"], float) and payload["fw_gap"] >= 0.0
+    _, out, _ = run_cli(capsys, [
+        "solve", "--graph", graph_file, "--k", "3", "--solver", "greedy",
+        "--output", "json"])
+    assert "NaN" not in out
+    assert json.loads(out)["fw_gap"] is None
+    _, out, _ = run_cli(capsys, [
+        "solve", "--graph", graph_file, "--k", "3", "--solver", "greedy"])
+    assert "fw_gap: null" in out.splitlines()
+
+
+@pytest.mark.parametrize("rule", ["exact", "option1", "option2"])
+def test_solve_step_rules(graph_file, capsys, rule):
+    code, out, _ = run_cli(capsys, [
+        "solve", "--graph", graph_file, "--k", "3", "--step-rule", rule,
+        "--output", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["solver"] == f"fw-{rule}"
+    assert payload["objective"] == 9.0
+
+
+def test_solve_default_runs_no_eigensolve(graph_file, capsys, eigensolves):
+    assert run_cli(capsys, ["solve", "--graph", graph_file, "--k", "3"])[0] == 0
+    assert eigensolves == []
+    assert run_cli(capsys, ["solve", "--graph", graph_file, "--k", "3",
+                            "--step-rule", "option1"])[0] == 0
+    assert len(eigensolves) == 1

@@ -5,9 +5,11 @@ import pytest
 
 from dks import (FwConfig, ProblemInstance, SolverError, fw_multi_start,
                  fw_solve)
-from dks.fw import is_integral, lmp_top_k
-from dks.linalg import quadratic_form
+from dks.fw import curvature, exact_step, is_integral, lmp_top_k
+from dks.linalg import loaded_matvec, quadratic_form, spectral_norm
 from dks.points import is_feasible, random_feasible_point, uniform_point
+from dks.report import solve_with
+from dks.topk import indicator, top_k_indices
 
 from conftest import random_graph
 
@@ -161,3 +163,81 @@ def test_uniform_start_used_by_default(star5):
     rep = fw_solve(inst, FwConfig(max_iters=1))
     assert rep.objective_trace[0] == pytest.approx(
         quadratic_form(inst.graph, inst.loading, uniform_point(5, 2)))
+
+
+def random_cells(seed, count):
+    """(graph, k, loading, feasible x) cells at the loadings the paper uses."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = random_graph(int(rng.integers(4, 40)), float(rng.uniform(0.1, 0.7)), rng)
+        k = int(rng.integers(1, g.n + 1))
+        lam = float(rng.choice([0.0, 0.5, 1.0, 1.5]))
+        yield g, k, lam, random_feasible_point(g.n, k, rng), rng
+
+
+def test_curvature_matches_direct_matvec():
+    # d^T Q d from 2e(S) + loading*k - 2 s^T Qx + x^T Qx against a matvec of d,
+    # for the top-k vertex of the gradient and for an arbitrary k-set
+    for g, k, lam, x, rng in random_cells(21, 60):
+        qx = loaded_matvec(g, lam, x)
+        val = float(x @ qx)
+        for top in (top_k_indices(qx, k), np.sort(rng.permutation(g.n)[:k])):
+            d = indicator(top, g.n) - x
+            direct = float(d @ loaded_matvec(g, lam, d))
+            scale = 1.0 + abs(val) + 2.0 * g.m + lam * k
+            assert curvature(g, lam, top, qx, val) == pytest.approx(
+                direct, abs=1e-12 * scale), (g.n, k, lam)
+
+
+def test_exact_step_never_below_option1_step():
+    # from the same iterate, the exact step reaches at least the objective
+    # that option1's gap / (L ||d||^2) reaches
+    for g, k, lam, x, _ in random_cells(22, 60):
+        lips = spectral_norm(g, lam).value
+        qx = loaded_matvec(g, lam, x)
+        val = float(x @ qx)
+        top = top_k_indices(qx, k)
+        d = indicator(top, g.n) - x
+        gap = float(qx @ d)
+        if gap <= 1e-12 or lips <= 0.0:
+            continue
+        exact = exact_step(gap, curvature(g, lam, top, qx, val))
+        short = min(1.0, gap / (lips * float(d @ d)))
+        f_exact = quadratic_form(g, lam, x + exact * d)
+        f_short = quadratic_form(g, lam, x + short * d)
+        assert f_exact >= f_short - 1e-9 * max(1.0, abs(f_short)), (g.n, k, lam)
+        assert 0.0 < exact <= 1.0
+
+
+def test_exact_step_rule():
+    assert exact_step(2.0, 0.0) == 1.0
+    assert exact_step(2.0, 3.0) == 1.0
+    assert exact_step(2.0, -8.0) == 0.25
+    assert exact_step(2.0, -1.0) == 1.0
+
+
+def test_exact_is_the_default_rule(two_triangles):
+    assert FwConfig().step_rule == "exact"
+    rep = fw_solve(ProblemInstance(graph=two_triangles, k=3, loading=1.0))
+    assert rep.solver_name == "fw-exact"
+
+
+def test_option1_trace_never_decreases():
+    for g, k, lam, x, _ in random_cells(23, 25):
+        rep = fw_solve(ProblemInstance(graph=g, k=k, loading=lam),
+                       FwConfig(step_rule="option1"), x0=x, validate_iterates=True)
+        tr = rep.objective_trace
+        assert np.all(np.diff(tr) >= -1e-9 * max(1.0, float(np.abs(tr).max())))
+
+
+def test_exact_rule_runs_no_eigensolve(eigensolves, two_triangles):
+    rng = np.random.default_rng(24)
+    for g in (two_triangles, random_graph(30, 0.3, rng)):
+        inst = ProblemInstance(graph=g, k=3, loading=1.0)
+        fw_solve(inst)
+        solve_with("fw", inst)
+        list(fw_multi_start(inst))
+        assert eigensolves == []
+    # the wrapper does see the Lipschitz estimate of the paper's rules
+    fw_solve(inst, FwConfig(step_rule="option1"))
+    assert len(eigensolves) == 1

@@ -376,6 +376,23 @@ def test_induced_edge_count(two_triangles):
         induced_edge_count(two_triangles, [0, 6])
 
 
+def test_induced_edge_count_matches_pair_count():
+    # brute force over every pair of the subset, on random graphs and
+    # subsets of every size from empty to the whole vertex set
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        g = random_graph(int(rng.integers(1, 25)), float(rng.uniform(0.0, 0.9)), rng)
+        edges = set(g.edges())
+        for k in sorted({0, 1, int(rng.integers(0, g.n + 1)), g.n}):
+            subset = rng.permutation(g.n)[:k]
+            expected = sum((min(a, b), max(a, b)) in edges
+                           for i, a in enumerate(subset.tolist())
+                           for b in subset.tolist()[i + 1:])
+            assert induced_edge_count(g, subset) == expected, (g.n, k)
+    assert induced_edge_count(g, []) == 0
+    assert induced_edge_count(g, np.arange(g.n)) == g.m
+
+
 def test_normalized_density(two_triangles, star5):
     assert normalized_density(two_triangles, [0, 1, 2]) == 1.0
     assert normalized_density(star5, [0, 1, 2]) == pytest.approx(2.0 / 3.0)

@@ -198,3 +198,30 @@ def test_load_selection_file(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no vertex ids"):
         load_selection_file(empty)
+
+
+def test_run_sweep_fw_matches_standalone_solve(monkeypatch):
+    # the default exact-step fw reads no Lipschitz constant, so a sweep cell
+    # (which holds the tol-1e-12 eigen triple) and a standalone solve agree;
+    # with an L-dependent step they differed in about a third of these cells
+    import dks.report
+
+    standalone = dks.report.solve_with
+    swept = {}
+
+    def recorded(name, inst, **kwargs):
+        swept[inst.k] = standalone(name, inst, **kwargs)
+        return swept[inst.k]
+
+    monkeypatch.setattr(dks.report, "solve_with", recorded)
+    rng = np.random.default_rng(31)
+    ks = [5, 10, 20, 40]
+    for _ in range(8):
+        g = random_graph(int(rng.integers(60, 200)), float(rng.uniform(0.03, 0.15)), rng)
+        swept.clear()
+        for r in run_sweep(g, 1.0, ks, ["fw"]):
+            alone = standalone("fw", ProblemInstance(graph=g, k=r.k, loading=1.0))
+            assert r.status == "ok"
+            np.testing.assert_array_equal(swept[r.k].selection.vertices,
+                                          alone.selection.vertices)
+            assert r.objective == alone.selection.objective_at_loading, (g.n, r.k)
