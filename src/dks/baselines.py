@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .linalg import leading_eigenpair, top_two_singular_values
+from .linalg import (CERT_MAX_ITERS, CERT_TOL, leading_eigenpair,
+                     top_two_singular_values)
 from .rounding import VertexSelection, make_selection
 from .topk import indicator, top_k_indices
 
@@ -44,17 +45,18 @@ def rank1_lrbo(g: Graph, k: int, loading: float = 1.0,
     disconnected graph u1 concentrates on the dominant component and the
     selection follows it; that is the documented behavior, not an error.
     ``eig`` may pass a (sigma1, u1, sigma2) triple as in
-    ``density_upper_bound``; without it u1 is solved for at tolerance 1e-10.
+    ``density_upper_bound``; without it u1 is solved for at the same
+    CERT_TOL and CERT_MAX_ITERS, so both routes see a bit-identical u1.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} outside [1, {g.n}]")
-    u1 = (leading_eigenpair(g, tol=1e-10, max_iters=20000).vector
+    u1 = (leading_eigenpair(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS).vector
           if eig is None else eig[1])
     return make_selection(g, top_k_indices(u1, k), loading)
 
 
-def density_upper_bound(g: Graph, k: int, eig=None,
-                        tol: float = 1e-12, max_iters: int = 20000) -> float:
+def density_upper_bound(g: Graph, k: int, eig=None, tol: float = CERT_TOL,
+                        max_iters: int = CERT_MAX_ITERS) -> float:
     """Certified upper bound on the normalized density of any k-subgraph.
 
     Returns min of three terms: the trivial cap 1; the rank-1 surrogate
@@ -62,8 +64,8 @@ def density_upper_bound(g: Graph, k: int, eig=None,
     theta1 * (sum of u1 over the selection)^2 / (k(k-1)) + sigma2/(k-1);
     and sigma1/(k-1).  ``eig`` may pass a precomputed
     (sigma1, u1, sigma2) triple to amortize the eigensolves across many
-    values of k.  Tolerances default much tighter than elsewhere because
-    the bound is an inequality certificate, not a step-size heuristic.
+    values of k.  Tolerances default to CERT_TOL, much tighter than elsewhere,
+    because the bound is an inequality certificate, not a step-size heuristic.
 
     The iterative eigenvalue estimates converge from below, so plugging
     them in verbatim could undercut the true bound by an ulp and break

@@ -9,8 +9,8 @@ iteration costs O(m + n).  Three step-size rules are provided:
   and its curvature d^T Q d (Q = A + loading*I, d = s - x) comes from
   quantities already in hand, so the rule needs no Lipschitz constant and
   no eigensolve.
-- "option1": the short step gap / (L ||d||^2), with L = ||Q||_2 from a
-  power iteration; monotone ascent, as in the paper.
+- "option1": the short step gap / (L ||d||^2), with L = ||Q||_2 read from
+  ``spectral_norm`` inside ``fw_solve``; monotone ascent, as in the paper.
 - "option2": the fixed-upper-bound step gap / (2kL), as in the paper.
 
 The exact step never ends below the point option1's step reaches from the
@@ -47,8 +47,8 @@ class FwConfig:
 
     ``step_rule`` is one of STEP_RULES.  The default "exact" line search
     reads no Lipschitz constant; "option1" and "option2" are the paper's
-    rules and need ||A + loading*I||_2, which costs one power iteration
-    unless the caller passes it in.  ``gap_tol=None`` uses the adaptive
+    rules and need ||A + loading*I||_2, which costs each ``fw_solve`` one
+    power iteration.  ``gap_tol=None`` uses the adaptive
     default 1e-8 * (1 + |objective|); an explicit value is treated as an
     absolute gap threshold.
     """
@@ -109,8 +109,7 @@ def exact_step(gap: float, curv: float) -> float:
     return min(1.0, gap / -curv)
 
 
-def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
-             validate_iterates: bool = False, lipschitz: float = None) -> SolveReport:
+def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None) -> SolveReport:
     """Run Frank-Wolfe from x0 (default: the uniform point k/n).
 
     Stops when the Frank-Wolfe gap grad.(s - x) falls below the tolerance
@@ -118,9 +117,9 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
     returns itself stops immediately) or when the iteration budget runs
     out.  The reported selection is always the top-k projection of the
     final point, whether or not that point is integral.  The "option1"
-    and "option2" rules need L = ||A + loading*I||_2 = theta1 + loading:
-    ``lipschitz`` gives it, and otherwise ``spectral_norm`` estimates it.
-    The "exact" rule reads no L, and ignores ``lipschitz``.
+    and "option2" rules read L = ||A + loading*I||_2 = theta1 + loading
+    from ``spectral_norm``; the "exact" rule reads no L and runs no
+    eigensolve.  An iterate outside the polytope raises SolverError.
     """
     t_start = time.perf_counter()
     cfg = cfg or FwConfig()
@@ -133,10 +132,7 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
             raise ValueError("x0 is not feasible for the box-and-sum polytope")
 
     exact = cfg.step_rule == "exact"
-    if exact:
-        lips = None
-    else:
-        lips = spectral_norm(g, lam).value if lipschitz is None else float(lipschitz)
+    lips = None if exact else spectral_norm(g, lam).value
     trace = []
     iterations = 0
     converged = False
@@ -169,7 +165,7 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None,
             gamma = min(1.0, gap / (2.0 * k * lips))
         x = x + gamma * d
         iterations += 1
-        if validate_iterates and not is_feasible(x, k, tol=1e-9):
+        if not is_feasible(x, k, tol=1e-9):
             raise SolverError(f"iterate {iterations} left the feasible polytope")
 
     return SolveReport(
@@ -194,12 +190,9 @@ def fw_multi_start(inst: ProblemInstance, cfg: FwConfig = None):
     uniform point is already first-order stationary.
     """
     g, k = inst.graph, inst.k
-    cfg = cfg or FwConfig()
-    lips = None if cfg.step_rule == "exact" else spectral_norm(g, inst.loading).value
-    yield fw_solve(inst, cfg, lipschitz=lips)
+    yield fw_solve(inst, cfg)
     base = uniform_point(g.n, k)
     for j in range(g.n):
         bumped = base.copy()
         bumped[j] += MULTI_START_PERTURBATION
-        yield fw_solve(inst, cfg, x0=project_capped_simplex(bumped, k),
-                       lipschitz=lips)
+        yield fw_solve(inst, cfg, x0=project_capped_simplex(bumped, k))

@@ -16,6 +16,11 @@ import numpy as np
 
 from .graph import Graph
 
+# Eigensolve settings of the density-bound certificate.  A sweep's shared
+# triple and rank1's own solve use them too, so the triple is a pure cache.
+CERT_TOL = 1e-12
+CERT_MAX_ITERS = 20000
+
 
 def loaded_matvec(g: Graph, loading: float, x: np.ndarray) -> np.ndarray:
     """Compute (A + loading*I) x in one pass over the adjacency.

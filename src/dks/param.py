@@ -97,9 +97,9 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
                 theta0=None) -> SolveReport:
     """Adaptive-moment ascent on the parameterized objective.
 
-    Runs for the full iteration budget (there is no gap certificate in
-    theta-space); ``converged`` records that the budget completed with
-    finite values throughout.  The final selection is the top-k
+    Runs for the full iteration budget.  With no gap certificate in
+    theta-space and no convergence test, ``converged`` is always False.
+    A non-finite value raises SolverError.  The final selection is the top-k
     projection of the final x, which also repairs any budget shortfall
     left by the <=k relaxation.
     """
@@ -140,7 +140,7 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
         solver_name="param",
         objective_trace=np.asarray(trace),
         iterations=cfg.max_iters,
-        converged=True,
+        converged=False,
         integral=is_integral(x) and is_feasible(x, k, tol=1e-9),
         final_point=x,
         selection=project_top_k(g, x, k, lam),

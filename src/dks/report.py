@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
 from .fw import FwConfig, SolveReport, fw_solve
 from .graph import Graph, ProblemInstance
-from .linalg import top_two_singular_values
+from .linalg import CERT_MAX_ITERS, CERT_TOL, top_two_singular_values
 from .param import OptimizerConfig, param_solve
 from .rounding import make_selection
 
@@ -108,14 +108,13 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
                opt_cfg: OptimizerConfig = None, eig=None) -> SolveReport:
     """Dispatch a solver by name onto a common SolveReport shape.
 
-    ``eig``, a (sigma1, u1, sigma2) triple from ``top_two_singular_values``,
-    spares rank1 its eigensolve, and fw's "option1"/"option2" rules theirs
-    (Lipschitz constant sigma1 + loading).  fw's default "exact" rule reads
-    no Lipschitz constant, so a sweep cell and a standalone solve agree.
+    ``eig``, a (sigma1, u1, sigma2) triple from ``top_two_singular_values``
+    at CERT_TOL and CERT_MAX_ITERS, spares rank1 its eigensolve and is read
+    by nothing else.  rank1 alone solves at those same settings, so every
+    solver gives the same report with or without ``eig``.
     """
     if name == "fw":
-        lips = None if eig is None else eig[0] + inst.loading
-        return fw_solve(inst, fw_cfg, lipschitz=lips)
+        return fw_solve(inst, fw_cfg)
     if name == "param":
         return param_solve(inst, opt_cfg)
     if name in ("greedy", "rank1"):
@@ -134,15 +133,15 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
 
 
 def run_sweep(g: Graph, loading: float, k_values, solver_names,
-              dataset: str = "graph", jobs: int = 1,
-              fw_cfg: FwConfig = None, opt_cfg: OptimizerConfig = None):
+              dataset: str = "graph", jobs: int = 1):
     """Run every solver at every k; returns sorted ExperimentRecords.
 
     ``k_values`` must be strictly ascending and within [1, n]; unknown
-    solver names are rejected up front.  One eigensolve serves the bound
-    and every fw and rank1 cell.  A failing solver yields a "failed"
-    record and the sweep continues.  Densities and iteration counts are
-    reproducible; timings of course are not.
+    solver names are rejected up front.  Each cell runs its solver's
+    default config, so it equals a standalone ``solve_with``; one
+    eigensolve serves the bound and every rank1 cell.  A failing solver
+    yields a "failed" record and the sweep continues.  Densities and
+    iteration counts are reproducible; timings of course are not.
     """
     ks = [int(k) for k in k_values]
     if any(a >= b for a, b in zip(ks, ks[1:])):
@@ -154,7 +153,7 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
 
-    eig = top_two_singular_values(g, tol=1e-12, max_iters=20000)
+    eig = top_two_singular_values(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
     bounds = {k: (density_upper_bound(g, k, eig=eig) if k >= 2 else None)
               for k in ks}
 
@@ -162,8 +161,7 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
         k, solver = cell
         inst = ProblemInstance(graph=g, k=k, loading=loading)
         try:
-            rep = solve_with(solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg,
-                             eig=eig)
+            rep = solve_with(solver, inst, eig=eig)
             sel = rep.selection
             return ExperimentRecord(
                 dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,

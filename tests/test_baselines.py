@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dks import Graph, density_upper_bound, greedy_feige, rank1_lrbo
-from dks.linalg import top_two_singular_values
+from dks.linalg import CERT_MAX_ITERS, CERT_TOL, top_two_singular_values
 from dks.oracle import exact_dks
 
 from conftest import random_graph
@@ -94,6 +94,25 @@ def test_bound_precomputed_eig_matches_fresh(two_triangles):
     for k in range(2, 7):
         assert density_upper_bound(two_triangles, k, eig=eig) == pytest.approx(
             density_upper_bound(two_triangles, k), abs=1e-9)
+
+
+def test_rank1_alone_solves_for_the_sweep_triple_u1(monkeypatch):
+    # eig is a pure cache: rank1's own eigensolve gives the u1 of the triple a
+    # sweep computes, bit for bit, so its selection cannot depend on the route
+    import dks.baselines
+
+    solve, seen = dks.baselines.leading_eigenpair, []
+
+    def spied(*args, **kwargs):
+        seen.append(solve(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(dks.baselines, "leading_eigenpair", spied)
+    g = random_graph(80, 0.1, np.random.default_rng(42))
+    rank1_lrbo(g, 5)
+    _, u1, _ = top_two_singular_values(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].vector, u1)
 
 
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 10])

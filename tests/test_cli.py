@@ -340,3 +340,14 @@ def test_solve_default_runs_no_eigensolve(graph_file, capsys, eigensolves):
     assert run_cli(capsys, ["solve", "--graph", graph_file, "--k", "3",
                             "--step-rule", "option1"])[0] == 0
     assert len(eigensolves) == 1
+
+
+def test_solve_param_reports_not_converged(graph_file, capsys):
+    # param has no convergence test, so even a one-iteration run must not
+    # read as converged
+    code, out, _ = run_cli(capsys, [
+        "solve", "--graph", graph_file, "--k", "3", "--solver", "param",
+        "--max-iters", "1", "--output", "json"])
+    assert code == 0
+    assert '"converged": false' in out
+    assert json.loads(out)["iterations"] == 1

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dks import Graph
-from dks.report import (ExperimentRecord, format_float, load_selection_file,
-                        read_report, run_sweep, score_selection, solve_with,
-                        write_report)
+from dks.report import (SOLVER_NAMES, ExperimentRecord, format_float,
+                        load_selection_file, read_report, run_sweep,
+                        score_selection, solve_with, write_report)
 from dks.graph import ProblemInstance
 
 from conftest import random_graph
@@ -200,28 +200,37 @@ def test_load_selection_file(tmp_path):
         load_selection_file(empty)
 
 
-def test_run_sweep_fw_matches_standalone_solve(monkeypatch):
-    # the default exact-step fw reads no Lipschitz constant, so a sweep cell
-    # (which holds the tol-1e-12 eigen triple) and a standalone solve agree;
-    # with an L-dependent step they differed in about a third of these cells
+def test_run_sweep_fw_matches_standalone_solve(monkeypatch, two_triangles, star5):
+    # every solver runs its default config in a sweep, and rank1 alone solves
+    # at the eigen settings of the sweep's triple, so each cell must equal a
+    # standalone solve bit for bit
     import dks.report
 
     standalone = dks.report.solve_with
     swept = {}
 
     def recorded(name, inst, **kwargs):
-        swept[inst.k] = standalone(name, inst, **kwargs)
-        return swept[inst.k]
+        swept[name, inst.k] = standalone(name, inst, **kwargs)
+        return swept[name, inst.k]
 
     monkeypatch.setattr(dks.report, "solve_with", recorded)
     rng = np.random.default_rng(31)
-    ks = [5, 10, 20, 40]
-    for _ in range(8):
-        g = random_graph(int(rng.integers(60, 200)), float(rng.uniform(0.03, 0.15)), rng)
+    cases = [(random_graph(int(rng.integers(60, 200)),
+                           float(rng.uniform(0.03, 0.15)), rng),
+              [5, 10, 20, 40], SOLVER_NAMES) for _ in range(8)]
+    # u1 has exactly tied entries here, so rank1's top-k cuts through ties
+    cycle6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    cases += [(g, list(range(1, g.n + 1)), ["rank1"])
+              for g in (two_triangles, star5, cycle6)]
+    for g, ks, names in cases:
         swept.clear()
-        for r in run_sweep(g, 1.0, ks, ["fw"]):
-            alone = standalone("fw", ProblemInstance(graph=g, k=r.k, loading=1.0))
-            assert r.status == "ok"
-            np.testing.assert_array_equal(swept[r.k].selection.vertices,
-                                          alone.selection.vertices)
-            assert r.objective == alone.selection.objective_at_loading, (g.n, r.k)
+        for r in run_sweep(g, 1.0, ks, names):
+            cell = swept[r.solver, r.k]
+            alone = standalone(r.solver, ProblemInstance(graph=g, k=r.k, loading=1.0))
+            where = (g.n, r.solver, r.k)
+            assert r.status == "ok", where
+            assert np.array_equal(cell.selection.vertices,
+                                  alone.selection.vertices), where
+            assert r.objective == alone.selection.objective_at_loading, where
+            assert cell.iterations == alone.iterations, where
+            assert np.array_equal(cell.final_point, alone.final_point), where
