@@ -1,9 +1,11 @@
 """Sparse undirected simple graphs in CSR form, plus edge-list loading.
 
-Graphs are immutable after construction: loaders and constructors remove
-self-loops, merge parallel edges, symmetrize directed input, and compact
-vertex ids to 0..n-1 in first-appearance order.  The original labels are
-kept so results can be reported in the input's id space.
+A graph holds its adjacency once, as one scipy CSR matrix; the index
+arrays the solvers walk are that matrix's own.  Graphs are immutable after
+construction: loaders and constructors remove self-loops, merge parallel
+edges, symmetrize directed input, and compact vertex ids to 0..n-1 in
+first-appearance order.  The original labels are kept so results can be
+reported in the input's id space.
 """
 
 from __future__ import annotations
@@ -30,26 +32,28 @@ _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph stored as a sorted CSR adjacency structure.
+    """Undirected simple graph stored once, as a scipy CSR adjacency matrix.
 
     Attributes
     ----------
     n : number of vertices
     m : number of undirected edges (each counted once)
-    row_offsets : int64 array of length n+1; vertex i's neighbors live in
-        ``neighbors[row_offsets[i]:row_offsets[i+1]]``
-    neighbors : int64 array of length 2m; each neighbor list is strictly
-        increasing, contains no self-loops, and is symmetric (j in i's list
-        iff i in j's list)
-    degrees : int64 array of per-vertex degrees; sums to 2m
+    matrix : the n x n adjacency matrix as a scipy CSR matrix (0/1 entries,
+        float64); its ``indptr`` and ``indices`` are the graph's
+        ``row_offsets`` and ``neighbors``
     original_ids : labels from the input file, indexed by compact id
+
+    ``row_offsets`` (length n+1) and ``neighbors`` (length 2m) are views of
+    the matrix's index arrays, in the index dtype scipy picks: int32 while
+    n and 2m fit, int64 beyond.  Vertex i's neighbors live in
+    ``neighbors[row_offsets[i]:row_offsets[i+1]]``; each list is strictly
+    increasing, contains no self-loops, and is symmetric (j in i's list iff
+    i in j's list).  ``degrees`` is computed from ``row_offsets`` on access.
     """
 
     n: int
     m: int
-    row_offsets: np.ndarray
-    neighbors: np.ndarray
-    degrees: np.ndarray
+    matrix: scipy.sparse.csr_matrix
     original_ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -83,21 +87,28 @@ class Graph:
         keep = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         keep &= keys % (n + 1) != 0
-        src, dst = np.divmod(keys[keep], n)
-        m = len(src) // 2
-        degrees = np.bincount(src, minlength=n).astype(np.int64)
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=row_offsets[1:])
+        arcs = keys[keep]
+        del keys, keep  # before the matrix's arrays exist, to keep the peak down
+        # Source i's arcs are the kept keys in [i*n, (i+1)*n).
+        row_offsets = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        arcs %= n
+        # scipy casts the index arrays to int32 when n and 2m fit.
+        matrix = scipy.sparse.csr_matrix(
+            (np.ones(len(arcs), dtype=np.float64), arcs, row_offsets), shape=(n, n))
         ids = None if original_ids is None else np.asarray(original_ids)
-        return cls(n=n, m=m, row_offsets=row_offsets, neighbors=dst,
-                   degrees=degrees, original_ids=ids)
+        return cls(n=n, m=len(arcs) // 2, matrix=matrix, original_ids=ids)
 
-    @cached_property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        """Adjacency matrix as a scipy CSR matrix (0/1 entries, float64)."""
-        data = np.ones(len(self.neighbors), dtype=np.float64)
-        return scipy.sparse.csr_matrix((data, self.neighbors, self.row_offsets),
-                                       shape=(self.n, self.n))
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self.matrix.indptr
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        return self.matrix.indices
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.row_offsets)
 
     @cached_property
     def _label_index(self) -> dict:
@@ -307,10 +318,12 @@ def induced_edge_count(g: Graph, subset) -> int:
         raise ValueError("subset contains duplicate vertices")
     mask = np.zeros(g.n, dtype=bool)
     mask[s] = True
-    degs = g.degrees[s]
+    # The subset's degrees from row_offsets: O(|S|), where g.degrees is O(n).
+    starts = g.row_offsets[s]
+    degs = g.row_offsets[s + 1] - starts
     ends = np.cumsum(degs)
     # entry j of the gather is position j - (ends - degs)[v] of v's list
-    pos = np.repeat(g.row_offsets[s] - (ends - degs), degs)
+    pos = np.repeat(starts - (ends - degs), degs)
     pos += np.arange(len(pos))
     return int(np.count_nonzero(mask[g.neighbors[pos]])) // 2
 

@@ -153,7 +153,8 @@ def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
     top = lo.item(i)
     lo[i] = np.inf
     live = len(frac)
-    nbrs, offsets = g.neighbors, g.row_offsets.tolist()
+    # s[nbrs] += ... runs about 1.7x slower with int32 indices than intp.
+    nbrs, offsets = g.neighbors.astype(np.intp, copy=False), g.row_offsets.tolist()
 
     for _ in range(g.n + 1):
         if live < 2:

@@ -248,6 +248,14 @@ def test_verify_with_zero_checks_exits_1(capsys):
     assert "motzkin: FAIL (0 checks" in out
 
 
+def test_verify_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, [
+        "verify", "--suite", "motzkin", "--max-n", "4", "--seed", "-1"])
+    assert code == 2
+    assert err.startswith("dks: ") and "--seed" in err
+    assert out == ""
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, [
         "verify", "--suite", "motzkin", "--max-n", "4"])

@@ -66,11 +66,33 @@ def test_from_edges_matches_set_reference():
         assert g.degrees.tolist() == degrees
         assert g.row_offsets.tolist() == [0] + np.cumsum(degrees).tolist()
         assert g.neighbors.tolist() == [j for s in adjacent for j in sorted(s)]
-        for arr in (g.row_offsets, g.neighbors, g.degrees):
-            assert arr.dtype == np.int64
+        for arr in (g.row_offsets, g.neighbors):
+            assert arr.dtype == g.matrix.indices.dtype
         for bad in ([0, n], [-1, 0]):
             with pytest.raises(ValueError, match="out of range"):
                 Graph.from_edges(n, np.vstack([pairs, [bad]]))
+
+
+def test_adjacency_is_stored_once(tmp_path):
+    # row_offsets and neighbors are the CSR matrix's own index arrays, and
+    # degrees is derived from row_offsets, on every way a graph is built
+    rng = np.random.default_rng(5)
+    plain = tmp_path / "g.txt"
+    plain.write_text("".join(f"{a} {b}\n" for a, b in rng.integers(-50, 50, (200, 2))))
+    packed = tmp_path / "g.txt.gz"
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    graphs = [Graph.from_edges(1, []), Graph.from_edges(1, [(0, 0)]),
+              Graph.from_edges(5, []), random_graph(30, 0.2, rng),
+              load_edge_list(plain), load_edge_list(packed)]
+    for g in graphs:
+        assert np.shares_memory(g.row_offsets, g.matrix.indptr)
+        # an empty array shares memory with nothing, so an edgeless graph's
+        # neighbors are checked by identity alone
+        assert g.neighbors is g.matrix.indices
+        assert g.m == 0 or np.shares_memory(g.neighbors, g.matrix.indices)
+        assert np.array_equal(g.degrees, np.diff(g.row_offsets))
+        assert g.matrix.shape == (g.n, g.n) and g.matrix.nnz == 2 * g.m
+    assert set(Graph.__dataclass_fields__) == {"n", "m", "matrix", "original_ids"}
 
 
 def test_neighbor_lists_sorted_and_symmetric():

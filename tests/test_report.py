@@ -1,7 +1,5 @@
 """Sweep records, serialization round-trips, and selection scoring."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -120,22 +118,10 @@ def test_run_sweep_validation(triangle):
         run_sweep(triangle, 1.0, [2], ["magic"])
 
 
-def test_run_sweep_runs_one_perron_iteration(monkeypatch, two_triangles, star5):
-    # one eigensolve serves the bound, the fw Lipschitz constant and rank1
-    import dks.linalg
+def test_run_sweep_runs_one_perron_iteration(monkeypatch, eigensolves,
+                                             two_triangles, star5):
+    # one eigensolve serves the density bound and rank1; fw needs none
     import dks.report
-
-    original = dks.linalg.leading_eigenpair
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if (name.split(".")[0] == "dks"
-                and getattr(mod, "leading_eigenpair", None) is original):
-            monkeypatch.setattr(mod, "leading_eigenpair", counted)
 
     chosen = {}
     standalone = dks.report.solve_with
@@ -152,10 +138,10 @@ def test_run_sweep_runs_one_perron_iteration(monkeypatch, two_triangles, star5):
         for _ in range(4)]
     for g in family:
         ks = sorted({2, 3, g.n // 2, g.n})
-        calls.clear()
+        eigensolves.clear()
         chosen.clear()
         records = run_sweep(g, 1.0, ks, ["fw", "rank1"])
-        assert len(calls) == 1
+        assert len(eigensolves) == 1
         assert all(r.status == "ok" for r in records)
         assert len(chosen) == 2 * len(ks)
         for (name, k), vertices in chosen.items():
