@@ -203,6 +203,9 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         print(f"dks: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_BAD_FLAGS
+    if args.max_n < 1:
+        print(f"dks: --max-n must be >= 1, got {args.max_n}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, max_n=args.max_n, seed=args.seed)
     all_passed = True

@@ -28,6 +28,10 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 # The suffixes numpy's loadtxt decompresses when it gets a path; the
 # '#'-after-data guard must read the same text, so it opens them alike.
 _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
+# Elements per slice of the loader's in-place passes: large enough that
+# numpy's per-call cost does not show, small enough that no pass allocates
+# a temporary the size of its buffer.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,38 +69,21 @@ class Graph:
         """Build a graph on ``n`` vertices from an iterable/array of id pairs.
 
         Self-loops are dropped, duplicate and reversed duplicates merged.
-        Ids must already be compact (0 <= id < n).
+        Ids must already be compact (0 <= id < n).  The edges are first
+        copied into an int64 array that the build then sorts and overwrites,
+        so the caller's array is never modified.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        pairs = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                           dtype=np.int64).reshape(-1, 2)
+        pairs = np.array(list(edges) if not isinstance(edges, np.ndarray) else edges,
+                         dtype=np.int64, order="C").reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError(f"vertex id out of range [0, {n})")
-        u, v = pairs[:, 0], pairs[:, 1]
-        # Every edge as both arcs keyed src*n + dst: one sort orders the arcs
-        # by source, then target, and puts duplicates next to each other.
-        # A key is a multiple of n+1 exactly when src == dst (src*n + dst is
-        # dst - src modulo n+1), so one mask drops duplicates and self-loops.
-        keys = np.empty(2 * len(pairs), dtype=np.int64)
-        np.multiply(u, n, out=keys[:len(pairs)])
-        keys[:len(pairs)] += v
-        np.multiply(v, n, out=keys[len(pairs):])
-        keys[len(pairs):] += u
-        keys.sort()
-        keep = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        keep &= keys % (n + 1) != 0
-        arcs = keys[keep]
-        del keys, keep  # before the matrix's arrays exist, to keep the peak down
-        # Source i's arcs are the kept keys in [i*n, (i+1)*n).
-        row_offsets = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
-        arcs %= n
-        # scipy casts the index arrays to int32 when n and 2m fit.
-        matrix = scipy.sparse.csr_matrix(
-            (np.ones(len(arcs), dtype=np.float64), arcs, row_offsets), shape=(n, n))
+        indices, row_offsets = _arcs_in_place(n, pairs.reshape(-1))
+        del pairs  # before the matrix's data is allocated
         ids = None if original_ids is None else np.asarray(original_ids)
-        return cls(n=n, m=len(arcs) // 2, matrix=matrix, original_ids=ids)
+        return cls(n=n, m=len(indices) // 2, matrix=_csr(n, indices, row_offsets),
+                   original_ids=ids)
 
     @property
     def row_offsets(self) -> np.ndarray:
@@ -148,9 +135,21 @@ def load_edge_list(path) -> Graph:
     Self-loops are removed, parallel and reversed duplicates merged, and
     vertex ids compacted to 0..n-1 in first-appearance order.  Directed
     arcs are symmetrized.
+
+    The parsed (E, 2) int64 labels, 16 bytes per line, are the one buffer
+    the load works in.  Compaction writes each label's id over it, beside
+    one sort buffer of the same size; the CSR build writes the arc keys over
+    those ids and sorts them in place, and the buffer is freed before the
+    matrix's data is allocated.  The peak, set by compaction, is about twice
+    the parsed array.
     """
-    labels, compact = _first_appearance_ids(_read_pairs(path).ravel())
-    return Graph.from_edges(len(labels), compact.reshape(-1, 2), original_ids=labels)
+    ids = _read_pairs(path).reshape(-1)
+    labels = _first_appearance_ids(ids)
+    n = len(labels)
+    indices, row_offsets = _arcs_in_place(n, ids)
+    del ids  # before the matrix's data is allocated
+    return Graph(n=n, m=len(indices) // 2, matrix=_csr(n, indices, row_offsets),
+                 original_ids=labels)
 
 
 def _read_pairs(path) -> np.ndarray:
@@ -240,44 +239,114 @@ def _raise_first_bad_line(path, raw: bytes) -> None:
             raise ValueError(f"{path}:{lineno}: vertex id outside the int64 range")
 
 
-def _first_appearance_ids(labels: np.ndarray):
-    """Distinct labels in first-appearance order, and each label's index there."""
-    perm, ordered = _stable_sort(labels)
-    starts = np.ones(len(labels), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    group = np.cumsum(starts)
-    group -= 1
-    # The sort is stable, so each group's first position is where it first appears.
-    first_seen = perm[starts]
-    order = np.argsort(first_seen)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    compact = np.empty_like(perm)
-    compact[perm] = rank[group]
-    return ordered[starts][order], compact
+def _arcs_in_place(n: int, ids: np.ndarray):
+    """The CSR column indices and row offsets of the id pairs in ``ids``.
+
+    ``ids`` is a C-contiguous int64 buffer that the caller hands over: pairs
+    (u, v) of ids in [0, n), back to back.  Each pair's slots receive its two
+    arc keys u*n + v and v*n + u, and one in-place sort orders the arcs by
+    source, then target, and puts duplicates next to each other.  A key is a
+    multiple of n+1 exactly when src == dst (src*n + dst is dst - src modulo
+    n+1).  Each slice's kept arcs are moved to the front of the buffer.  The
+    column indices come back in a new array of the index dtype scipy picks,
+    int32 while n and the arc count fit, so the caller can free the buffer
+    before the matrix is built and scipy keeps the array as it is.
+    """
+    pairs = ids.reshape(-1, 2)
+    for s in range(0, len(pairs), _CHUNK):
+        u, v = pairs[s:s + _CHUNK].T
+        forward = u * n
+        forward += v
+        v *= n
+        v += u
+        u[:] = forward
+    ids.sort()
+    kept, prev = 0, -1  # no key is negative
+    for s in range(0, len(ids), _CHUNK):
+        part = ids[s:s + _CHUNK]
+        keep = part % (n + 1) != 0
+        keep[0] &= part[0] != prev
+        keep[1:] &= part[1:] != part[:-1]
+        prev = part[-1]
+        arcs = part[keep]
+        ids[kept:kept + len(arcs)] = arcs
+        kept += len(arcs)
+    arcs = ids[:kept]
+    # Source i's arcs are the kept keys in [i*n, (i+1)*n).
+    row_offsets = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+    arcs %= n
+    fits = max(n, kept) <= np.iinfo(np.int32).max
+    return arcs.astype(np.int32 if fits else np.int64), row_offsets
 
 
-def _stable_sort(labels: np.ndarray):
-    """The stable sorting permutation of int64 ``labels``, and the sorted labels.
+def _csr(n: int, indices: np.ndarray, row_offsets: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The n x n 0/1 adjacency matrix with the given CSR index arrays."""
+    return scipy.sparse.csr_matrix(
+        (np.ones(len(indices), dtype=np.float64), indices, row_offsets), shape=(n, n))
+
+
+def _first_appearance_ids(labels: np.ndarray) -> np.ndarray:
+    """Write each label's compact id over ``labels``; return the distinct labels.
+
+    ``labels`` is a 1-D int64 buffer that the caller hands over.  Ids are
+    0..n-1 in first-appearance order, and the returned array lists the
+    labels by id.  A first pass over the stably sorted labels writes each
+    label's rank among the distinct labels over it, and a second maps those
+    ranks to first-appearance order.  Beside ``labels`` only the sort's
+    output is full size; every other step works on a slice of it.
+    """
+    heads, firsts = [], []
+    group, prev = -1, None
+    for run, pos in _sorted_runs(labels):
+        starts = np.empty(len(run), dtype=bool)
+        starts[0] = prev is None or run[0] != prev
+        np.not_equal(run[1:], run[:-1], out=starts[1:])
+        prev = run[-1]
+        ranks = np.cumsum(starts)
+        ranks += group
+        group = ranks[-1]
+        heads.append(run[starts])
+        # The sort is stable, so each group's first position is where it first appears.
+        firsts.append(pos[starts])
+        labels[pos] = ranks
+    order = np.argsort(np.concatenate(firsts))
+    to_id = np.empty_like(order)
+    to_id[order] = np.arange(len(order))
+    for s in range(0, len(labels), _CHUNK):
+        labels[s:s + _CHUNK] = to_id[labels[s:s + _CHUNK]]
+    return np.concatenate(heads)[order]
+
+
+def _sorted_runs(labels: np.ndarray):
+    """The int64 ``labels`` in stable sorted order with their positions, a slice at a time.
 
     A value sort is several times faster than an argsort, so each label is
     packed with its position into one key, (label - min) << b | position,
     where b bits hold any position.  Only when the label span leaves fewer
-    than 63 - b bits does it fall back to a stable argsort.
+    than 63 - b bits does it fall back to a stable argsort.  Each slice is
+    read only when the next one is asked for, so the caller may overwrite
+    the positions of the slices it has had.
     """
     lo = int(labels.min())
     b = (len(labels) - 1).bit_length()
     if int(labels.max()) - lo >= 1 << (63 - b):
         perm = np.argsort(labels, kind="stable")
-        return perm, labels[perm]
-    keys = labels - lo
-    keys <<= b
-    keys |= np.arange(len(labels), dtype=np.int64)
+        for s in range(0, len(perm), _CHUNK):
+            pos = perm[s:s + _CHUNK]
+            yield labels[pos], pos
+        return
+    keys = np.empty_like(labels)
+    for s in range(0, len(keys), _CHUNK):
+        part = keys[s:s + _CHUNK]
+        np.subtract(labels[s:s + _CHUNK], lo, out=part)
+        part <<= b
+        part |= np.arange(s, s + len(part), dtype=np.int64)
     keys.sort()
-    perm = keys & ((1 << b) - 1)
-    keys >>= b
-    keys += lo
-    return perm, keys
+    for s in range(0, len(keys), _CHUNK):
+        part = keys[s:s + _CHUNK]
+        run = part >> b
+        run += lo
+        yield run, part & ((1 << b) - 1)
 
 
 @dataclass(frozen=True)

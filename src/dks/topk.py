@@ -10,8 +10,10 @@ def top_k_indices(values, k: int) -> np.ndarray:
 
     Returns a sorted int64 array.  The selection is exact: every returned
     index has a value strictly above the k-th largest, or equal to it and
-    among the lowest-indexed entries at that value.  Uses argpartition, so
-    the cost is O(n) plus the sort of the k winners.
+    among the lowest-indexed entries at that value.  The threshold comes
+    from a values-only partition: where most entries tie, as in an FW
+    gradient at an integral point, an argpartition is many times slower.
+    The cost is O(n) plus the sort of the k winners.
     """
     v = np.asarray(values)
     n = v.shape[0]
@@ -21,8 +23,7 @@ def top_k_indices(values, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if k == n:
         return np.arange(n, dtype=np.int64)
-    part = np.argpartition(v, n - k)
-    threshold = v[part[n - k]]
+    threshold = np.partition(v, n - k)[n - k]
     above = np.flatnonzero(v > threshold)
     need = k - len(above)
     at = np.flatnonzero(v == threshold)[:need]

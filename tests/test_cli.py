@@ -256,6 +256,16 @@ def test_verify_negative_seed_exits_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("suite", ["motzkin", "rounding"])
+@pytest.mark.parametrize("max_n", ["-5", "0"])
+def test_verify_max_n_below_one_exits_2(capsys, suite, max_n):
+    # a bad flag, not a failed suite, and not a pass with the size clamped
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--max-n", max_n])
+    assert code == 2
+    assert err.startswith("dks: ") and "--max-n" in err
+    assert out == ""
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, [
         "verify", "--suite", "motzkin", "--max-n", "4"])

@@ -5,6 +5,7 @@ import gzip
 import io
 import lzma
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,37 @@ def test_from_edges_matches_set_reference():
         for bad in ([0, n], [-1, 0]):
             with pytest.raises(ValueError, match="out of range"):
                 Graph.from_edges(n, np.vstack([pairs, [bad]]))
+
+
+def test_from_edges_leaves_caller_edges_unchanged():
+    # The build sorts and overwrites its buffer, so from_edges must hand it a
+    # copy of the caller's array, even one that is already int64 (E, 2).
+    rng = np.random.default_rng(9)
+    edges = rng.integers(0, 12, size=(60, 2))
+    edges = np.concatenate([edges, edges[:10, ::-1], edges[:10], [[3, 3], [7, 7]]])
+    before = edges.copy()
+    g = Graph.from_edges(12, edges)
+    assert edges.dtype == np.int64 and np.array_equal(edges, before)
+    assert not np.shares_memory(g.neighbors, edges)
+
+
+def test_load_edge_list_peak_memory(tmp_path):
+    # Compaction and the CSR build work over the parsed (E, 2) int64 pairs in
+    # place, so the load's transient memory stays within 3x those pairs.
+    rng = np.random.default_rng(12)
+    lines = 200_000
+    labels = rng.choice(10**12, size=20_000, replace=False)
+    path = tmp_path / "g.txt"
+    np.savetxt(path, labels[rng.integers(0, len(labels), size=(lines, 2))], fmt="%d")
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        g = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert g.n == len(labels)
+    assert peak <= 3 * lines * 2 * np.dtype(np.int64).itemsize
 
 
 def test_adjacency_is_stored_once(tmp_path):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from dks.linalg import loaded_matvec
 from dks.topk import indicator, top_k_indices
+
+from conftest import random_graph
 
 
 def test_simple_selection():
@@ -40,6 +43,26 @@ def test_against_stable_sort_oracle():
         want = sorted(sorted(range(n), key=lambda i: (-v[i], i))[:k])
         assert got.tolist() == want
         assert got.dtype == np.int64
+
+
+def lexsort_top_k(v, k):
+    """Reference: order by (-value, index) and keep the first k, sorted."""
+    return np.sort(np.lexsort((np.arange(len(v)), -v))[:k])
+
+
+def test_against_lexsort_reference_on_tie_heavy_inputs():
+    rng = np.random.default_rng(2)
+    n = 2000
+    mostly_zero = np.where(rng.random(n) < 0.9, 0.0, rng.integers(1, 4, n))
+    # 2 (A + I) x at an integral x, as FW's gradient at an integral iterate
+    g = random_graph(n, 0.005, rng)
+    x = indicator(rng.choice(n, 50, replace=False), n)
+    fw_gradient = 2.0 * loaded_matvec(g, 1.0, x)
+    for v in (np.ones(n), np.zeros(n), mostly_zero, fw_gradient, -fw_gradient):
+        for k in (0, 1, 2, 50, n // 2, n - 1, n):
+            got = top_k_indices(v, k)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, lexsort_top_k(v, k))
 
 
 def test_selected_sum_is_maximal():
