@@ -27,8 +27,8 @@ from .graph import (Graph, ProblemInstance, induced_edge_count, load_edge_list,
                     normalized_density)
 from .linalg import (PowerResult, leading_eigenpair, loaded_matvec,
                      quadratic_form, spectral_norm, top_two_singular_values)
-from .oracle import (dense_eig, exact_dks, max_clique, max_clique_size,
-                     maximal_cliques, project_scaled_simplex, simplex_qp_max)
+from .oracle import (dense_eig, exact_dks, max_clique, maximal_cliques,
+                     project_scaled_simplex, simplex_qp_max)
 from .param import (OptimizerConfig, param_objective_and_gradient, param_solve,
                     theta_to_x)
 from .points import (is_feasible, project_capped_simplex, random_feasible_point,
@@ -55,7 +55,7 @@ __all__ = [
     "VertexSelection", "make_selection", "project_top_k", "round_to_integral",
     "rounding_step",
     "greedy_feige", "rank1_lrbo", "density_upper_bound",
-    "exact_dks", "max_clique", "max_clique_size", "maximal_cliques",
+    "exact_dks", "max_clique", "maximal_cliques",
     "simplex_qp_max", "project_scaled_simplex", "dense_eig",
     "ExperimentRecord", "run_sweep", "write_report", "read_report",
     "score_selection", "solve_with", "load_selection_file",

@@ -111,10 +111,6 @@ def max_clique(g: Graph):
     return best["size"], members
 
 
-def max_clique_size(g: Graph) -> int:
-    return max_clique(g)[0]
-
-
 def maximal_cliques(g: Graph, limit: int = 200000):
     """All maximal cliques as sorted vertex lists (guarded by ``limit``)."""
     if g.n > CLIQUE_GUARD:

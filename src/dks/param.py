@@ -7,6 +7,10 @@ except on the budget boundary, and its gradient is computable in
 O(m + n) via the rank-1 structure of the normalization Jacobian.  A
 self-contained adaptive-moment optimizer (Adam) drives the ascent;
 defaults follow learning rate 3, 200 iterations, theta0 = 0.
+
+The sigmoid is numpy's, computed in a form that cannot overflow; it
+agrees with scipy's ``expit`` to a few ulp, so the module needs nothing
+from scipy.
 """
 
 from __future__ import annotations
@@ -43,6 +47,32 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
 
 
+def _sigmoid(theta: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write 1/(1 + e^-theta) into ``out`` as e^min(theta,0) / (1 + e^-|theta|).
+
+    No exponent is positive, so nothing overflows: a very negative theta
+    underflows to 0 instead.  ``scratch`` is an n-vector it may overwrite.
+    """
+    np.minimum(theta, 0.0, out=out)
+    np.exp(out, out=out)
+    np.abs(theta, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    scratch += 1.0
+    out /= scratch
+    return out
+
+
+def _scale_to_budget(sig: np.ndarray, k: int, out: np.ndarray):
+    """The sigmoids' sum S and the point: ``sig`` itself if S <= k, else k*sig/S in ``out``."""
+    total = float(sig.sum())
+    if total <= k:
+        return total, sig
+    np.multiply(sig, k, out=out)
+    out /= total
+    return total, out
+
+
 def theta_to_x(theta, k: int) -> np.ndarray:
     """Map free variables onto the budget set: x = sigmoid(theta), rescaled.
 
@@ -50,16 +80,11 @@ def theta_to_x(theta, k: int) -> np.ndarray:
     otherwise every coordinate is scaled by k/S.  Both branches agree on
     the boundary S = k, so the map is continuous everywhere.
     """
-    # Imported on first use, so that `import dks` does not load scipy.special.
-    from scipy.special import expit
-
     if k < 1:
         raise ValueError("k must be >= 1")
-    sig = expit(np.asarray(theta, dtype=np.float64))
-    total = float(sig.sum())
-    if total <= k:
-        return sig
-    return k * sig / total
+    theta = np.asarray(theta, dtype=np.float64)
+    sig = _sigmoid(theta, np.empty_like(theta), np.empty_like(theta))
+    return _scale_to_budget(sig, k, sig)[1]
 
 
 def param_objective_and_gradient(inst: ProblemInstance, theta):
@@ -73,24 +98,37 @@ def param_objective_and_gradient(inst: ProblemInstance, theta):
     boundary S = k exactly, the plain-branch formula is the chosen
     subgradient.
     """
-    from scipy.special import expit
-
     theta = np.asarray(theta, dtype=np.float64)
-    g, k, lam = inst.graph, inst.k, inst.loading
-    sig = expit(theta)
-    slope = sig * (1.0 - sig)
-    total = float(sig.sum())
-    if total <= k:
-        x = sig
-        dfdx = 2.0 * loaded_matvec(g, lam, x)
-        grad = dfdx * slope
-    else:
-        x = k * sig / total
-        dfdx = 2.0 * loaded_matvec(g, lam, x)
-        weighted = float(sig @ dfdx)
-        grad = (k * slope / total**2) * (total * dfdx - weighted)
-    value = 0.5 * float(x @ dfdx)
+    value, grad, _ = _objective_and_gradient(
+        inst, theta, *(np.empty_like(theta) for _ in range(3)))
     return value, grad
+
+
+def _objective_and_gradient(inst: ProblemInstance, theta, sig, slope, x):
+    """``param_objective_and_gradient`` worked in the n-vectors ``sig``, ``slope``, ``x``.
+
+    Returns the value, the gradient (a new n-vector) and the point
+    theta_to_x(theta), which is ``sig`` or ``x``.  ``slope`` is left
+    overwritten.
+    """
+    g, k, lam = inst.graph, inst.k, inst.loading
+    _sigmoid(theta, out=sig, scratch=slope)
+    np.subtract(1.0, sig, out=slope)
+    slope *= sig
+    total, point = _scale_to_budget(sig, k, x)
+    grad = loaded_matvec(g, lam, point)
+    grad *= 2.0  # df/dx
+    value = 0.5 * float(point @ grad)
+    if point is sig:
+        grad *= slope
+    else:
+        weighted = float(sig @ grad)
+        slope *= k
+        slope /= total**2
+        grad *= total
+        grad -= weighted
+        grad *= slope
+    return value, grad, point
 
 
 def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
@@ -102,6 +140,11 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
     A non-finite value raises SolverError.  The final selection is the top-k
     projection of the final x, which also repairs any budget shortfall
     left by the <=k relaxation.
+
+    The loop works in six n-vectors allocated once: theta, Adam's two
+    moments, and three that hold the objective's intermediates and then
+    serve as the update's scratch.  Each iteration allocates only the
+    gradient and the mat-vec's own temporaries.
     """
     t_start = time.perf_counter()
     cfg = cfg or OptimizerConfig()
@@ -114,24 +157,35 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
 
     m = np.zeros(g.n)
     v = np.zeros(g.n)
+    sig, slope, x = (np.empty(g.n) for _ in range(3))
     trace = []
     for t in range(1, cfg.max_iters + 1):
-        value, grad = param_objective_and_gradient(inst, theta)
+        value, grad, _ = _objective_and_gradient(inst, theta, sig, slope, x)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             raise SolverError(
                 f"non-finite objective or gradient at iteration {t} "
                 "(learning rate too large?)")
         trace.append(value)
         # Minimize the negated objective.
-        descent = -grad
-        m = BETA1 * m + (1.0 - BETA1) * descent
-        v = BETA2 * v + (1.0 - BETA2) * descent * descent
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        theta = theta - cfg.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
+        descent = np.negative(grad, out=grad)
+        # m = BETA1*m + (1-BETA1)*descent and v = BETA2*v + (1-BETA2)*descent^2
+        m *= BETA1
+        m += np.multiply(descent, 1.0 - BETA1, out=slope)
+        v *= BETA2
+        square = np.multiply(descent, 1.0 - BETA2, out=slope)
+        square *= descent
+        v += square
+        # theta -= lr * m_hat / (sqrt(v_hat) + eps), with the bias-corrected moments
+        m_hat = np.divide(m, 1.0 - BETA1**t, out=x)
+        v_hat = np.divide(v, 1.0 - BETA2**t, out=slope)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += EPSILON
+        step = np.divide(m_hat, v_hat, out=x)
+        step *= cfg.learning_rate
+        theta -= step
 
-    x = theta_to_x(theta, k)
-    final_value, _ = param_objective_and_gradient(inst, theta)
+    final_value, _, x = _objective_and_gradient(inst, theta, sig, slope, x)
+    del theta, m, v, slope  # free before the selection's own temporaries
     if not np.isfinite(final_value):
         raise SolverError("non-finite objective after the final update "
                           "(learning rate too large?)")

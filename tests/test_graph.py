@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dks.graph as graph_module
 from dks import Graph, ProblemInstance, load_edge_list
 from dks.graph import induced_edge_count, normalized_density
 
@@ -352,6 +353,29 @@ def test_load_edge_list_errors(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no edges"):
             load_edge_list(bad)
+
+
+def test_comment_guard_across_block_boundaries(tmp_path, monkeypatch):
+    # The '#'-after-data guard reads the file a block at a time and carries
+    # each block's unfinished line into the next.  Over every block size up
+    # to the file's length, a boundary splits each CR LF and falls between
+    # each '#' and the data before it on its line.  A lone CR ends a line.
+    good = b"# header\r\n10 20\r# after a lone CR\r20 30\r\n  # mid-file\r\n30 10\r\n"
+    files = {"good.txt": good, "good.txt.gz": gzip.compress(good),
+             "bad.txt": b"10 20\r\n20 30 # note\r\n30 10\r\n",
+             "cr.txt": b"10 20\r20 30\r30 40 #\r"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    reference = load_edge_list(tmp_path / "good.txt")
+    assert reference.original_ids.tolist() == [10, 20, 30] and reference.m == 3
+    for size in range(1, max(map(len, files.values())) + 1):
+        monkeypatch.setattr(graph_module, "_TEXT_BLOCK", size)
+        assert_same_graph(load_edge_list(tmp_path / "good.txt"), reference)
+        assert_same_graph(load_edge_list(tmp_path / "good.txt.gz"), reference)
+        with pytest.raises(ValueError, match=r"bad\.txt:2: expected two vertex ids, got 4 tokens"):
+            load_edge_list(tmp_path / "bad.txt")
+        with pytest.raises(ValueError, match=r"cr\.txt:3: expected two vertex ids, got 3 tokens"):
+            load_edge_list(tmp_path / "cr.txt")
 
 
 def test_load_edge_list_integer_grammar(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 from dks import Graph
 from dks.linalg import quadratic_form
 from dks.graph import ProblemInstance
-from dks.oracle import (dense_eig, exact_dks, max_clique, max_clique_size,
-                        maximal_cliques, project_scaled_simplex,
-                        simplex_qp_max)
+from dks.oracle import (dense_eig, exact_dks, max_clique, maximal_cliques,
+                        project_scaled_simplex, simplex_qp_max)
 
 from conftest import random_graph
 
@@ -61,13 +60,13 @@ def test_max_clique_known(k5, two_triangles, star5, path3, triangle):
     size, members = max_clique(two_triangles)
     assert size == 3
     assert members in ([0, 1, 2], [3, 4, 5])
-    assert max_clique_size(star5) == 2
-    assert max_clique_size(path3) == 2
-    assert max_clique_size(triangle) == 3
+    assert max_clique(star5)[0] == 2
+    assert max_clique(path3)[0] == 2
+    assert max_clique(triangle)[0] == 3
 
 
 def test_max_clique_edgeless(edgeless4):
-    assert max_clique_size(edgeless4) == 1
+    assert max_clique(edgeless4)[0] == 1
 
 
 def test_max_clique_against_enumeration():
@@ -80,7 +79,7 @@ def test_max_clique_against_enumeration():
             for subset in combinations(range(g.n), size):
                 if all(g.has_edge(a, b) for a, b in combinations(subset, 2)):
                     want = max(want, size)
-        assert max_clique_size(g) == want
+        assert max_clique(g)[0] == want
 
 
 def test_maximal_cliques_two_triangles(two_triangles):

@@ -3,13 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dks import (OptimizerConfig, ProblemInstance, SolverError, param_solve,
+from dks import (Graph, OptimizerConfig, ProblemInstance, SolverError, param_solve,
                  theta_to_x)
-from dks.param import param_objective_and_gradient
+from dks.param import BETA1, BETA2, EPSILON, param_objective_and_gradient
 from dks.linalg import quadratic_form
 
 from conftest import random_graph
@@ -180,11 +181,94 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
 
 
+def _reference_param_solve(inst, cfg):
+    """The Adam loop written with a fresh array per operation, in the solver's order."""
+    g, k, lam = inst.graph, inst.k, inst.loading
+    theta, m, v, trace = np.zeros(g.n), np.zeros(g.n), np.zeros(g.n), []
+    for t in range(1, cfg.max_iters + 1):
+        sig = theta_to_x(theta, g.n)  # the bare sigmoid
+        slope = sig * (1.0 - sig)
+        total = float(sig.sum())
+        x = sig if total <= k else k * sig / total
+        dfdx = 2.0 * (g.matrix.dot(x) + lam * x)
+        if total <= k:
+            grad = dfdx * slope
+        else:
+            grad = (k * slope / total**2) * (total * dfdx - float(sig @ dfdx))
+        trace.append(0.5 * float(x @ dfdx))
+        descent = -grad
+        m = BETA1 * m + (1.0 - BETA1) * descent
+        v = BETA2 * v + (1.0 - BETA2) * descent * descent
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        theta = theta - cfg.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
+    return trace, theta_to_x(theta, k)
+
+
+def test_param_solve_matches_allocating_reference():
+    # In-place updates in the same order give bit-identical results, on
+    # both branches of the budget map.
+    rng = np.random.default_rng(25)
+    cfg = OptimizerConfig(max_iters=40)
+    for n, k in [(150, 5), (150, 120), (400, 30)]:
+        inst = ProblemInstance(graph=random_graph(n, 0.05, rng), k=k, loading=1.0)
+        rep = param_solve(inst, cfg)
+        trace, x = _reference_param_solve(inst, cfg)
+        assert rep.objective_trace[:-1].tolist() == trace
+        assert np.array_equal(rep.final_point, x)
+
+
+def test_sigmoid_matches_expit():
+    # The sigmoid is numpy's own; scipy's expit is the reference here only.
+    expit = pytest.importorskip("scipy.special").expit
+    rng = np.random.default_rng(23)
+    theta = np.concatenate([
+        rng.standard_normal(20000) * 30.0, rng.uniform(-800.0, 800.0, 20000),
+        np.linspace(-750.0, 750.0, 30001),
+        [0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # k = n keeps the plain branch, so this is the bare sigmoid
+        got = theta_to_x(theta, len(theta))
+    want = expit(theta)
+    normal = want >= np.finfo(np.float64).tiny
+    assert np.all(np.abs(got - want)[normal] <= 4 * np.spacing(want[normal]))
+    assert np.all(np.abs(got - want)[~normal] <= 1e-307)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_param_solve_works_in_fixed_buffers():
+    # The Adam loop works in preallocated n-vectors; each iteration adds only
+    # the gradient and the mat-vec's temporaries.  A loop that builds every
+    # step from fresh temporaries (the reference above) peaks at about 15.
+    rng = np.random.default_rng(24)
+    n = 10_000
+    g = Graph.from_edges(n, rng.integers(0, n, size=(50_000, 2)))
+    inst = ProblemInstance(graph=g, k=50, loading=1.0)
+    cfg = OptimizerConfig(max_iters=5)
+    param_solve(inst, cfg)  # first calls may cache allocations
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        param_solve(inst, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * n) <= 11
+
+
 def test_import_does_not_load_scipy_special():
-    # scipy.special is imported on first use by the param solver only
+    # Nothing in dks needs scipy.special: not the import, nor the param
+    # solver's sigmoid, nor a sweep that runs it.
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, dks, dks.cli; print('scipy.special' in sys.modules)"
+    code = "; ".join([
+        "import sys, numpy as np, dks, dks.cli",
+        "from dks.report import run_sweep",
+        "dks.theta_to_x(np.zeros(4), 2)",
+        "g = dks.Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])",
+        "dks.param_solve(dks.ProblemInstance(graph=g, k=2), dks.OptimizerConfig(max_iters=3))",
+        "run_sweep(g, 1.0, [3], ['param'])",
+        "print('scipy.special' in sys.modules)"])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), check=True)
     assert out.stdout.strip() == "False"
