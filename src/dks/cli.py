@@ -138,13 +138,11 @@ def cmd_solve(args) -> int:
         print(f"dks: --k must be in [1, {g.n}], got {args.k}", file=sys.stderr)
         return EXIT_BAD_FLAGS
     inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
-    given = args.max_iters is not None
+    # both configs are built, so a bad value is refused whichever solver runs
+    iters = {} if args.max_iters is None else {"max_iters": args.max_iters}
     try:
-        fw_cfg = FwConfig(step_rule=args.step_rule,
-                          max_iters=args.max_iters if given else 1000,
-                          gap_tol=args.gap_tol)
-        opt_cfg = OptimizerConfig(learning_rate=args.lr,
-                                  max_iters=args.max_iters if given else 200)
+        fw_cfg = FwConfig(step_rule=args.step_rule, gap_tol=args.gap_tol, **iters)
+        opt_cfg = OptimizerConfig(learning_rate=args.lr, **iters)
     except ValueError as exc:
         print(f"dks: {exc}", file=sys.stderr)
         return EXIT_BAD_FLAGS

@@ -31,7 +31,9 @@ def loaded_matvec(g: Graph, loading: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):
         raise ValueError(f"vector has shape {x.shape}, expected ({g.n},)")
-    return g.matrix.dot(x) + loading * x
+    y = g.matrix.dot(x)
+    y += loading * x
+    return y
 
 
 def quadratic_form(g: Graph, loading: float, x: np.ndarray) -> float:

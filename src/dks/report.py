@@ -2,9 +2,9 @@
 
 A sweep runs each requested solver at each requested subgraph size,
 attaches the spectral density upper bound per size, and emits records
-with a fixed column order.  Floats are serialized with 12 significant
-digits; a failed solver produces a record with status "failed" and null
-metrics instead of aborting the sweep.
+whose fields, in order, are the report's columns.  Floats are serialized
+with 12 significant digits; a failed solver produces a record with status
+"failed" and null metrics instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -28,16 +28,14 @@ from .rounding import make_selection
 
 SOLVER_NAMES = ("fw", "param", "greedy", "rank1")
 
-# Serialized field order; "lambda" is the wire name of the loading field.
-FIELD_ORDER = ("dataset", "n", "m", "k", "lambda", "solver",
-               "normalized_density", "objective", "iterations",
-               "wall_time_s", "integral_before_projection", "upper_bound",
-               "status")
 
-
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentRecord:
-    """One (dataset, solver, k) cell of a sweep."""
+    """One (dataset, solver, k) cell of a sweep.
+
+    The fields, in order, are the report's columns; the metrics stay None
+    in a failed cell.
+    """
 
     dataset: str
     n: int
@@ -45,58 +43,43 @@ class ExperimentRecord:
     k: int
     loading: float
     solver: str
-    normalized_density: Optional[float]
-    objective: Optional[float]
-    iterations: Optional[int]
-    wall_time_s: Optional[float]
-    integral_before_projection: Optional[bool]
+    normalized_density: Optional[float] = None
+    objective: Optional[float] = None
+    iterations: Optional[int] = None
+    wall_time_s: Optional[float] = None
+    integral_before_projection: Optional[bool] = None
     upper_bound: Optional[float]
     status: str = "ok"
 
     def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset, "n": self.n, "m": self.m, "k": self.k,
-            "lambda": self.loading, "solver": self.solver,
-            "normalized_density": self.normalized_density,
-            "objective": self.objective, "iterations": self.iterations,
-            "wall_time_s": self.wall_time_s,
-            "integral_before_projection": self.integral_before_projection,
-            "upper_bound": self.upper_bound, "status": self.status,
-        }
+        """The record keyed by wire name, in column order."""
+        return {wire: getattr(self, name) for name, wire, _ in _COLUMNS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentRecord":
-        return cls(
-            dataset=str(d["dataset"]), n=int(d["n"]), m=int(d["m"]),
-            k=int(d["k"]), loading=float(d["lambda"]), solver=str(d["solver"]),
-            normalized_density=_opt_float(d["normalized_density"]),
-            objective=_opt_float(d["objective"]),
-            iterations=_opt_int(d["iterations"]),
-            wall_time_s=_opt_float(d["wall_time_s"]),
-            integral_before_projection=_opt_bool(d["integral_before_projection"]),
-            upper_bound=_opt_float(d["upper_bound"]),
-            status=str(d["status"]),
-        )
+        """Inverse of as_dict; also reads CSV strings, where "" is None."""
+        return cls(**{name: parse(d[wire]) for name, wire, parse in _COLUMNS})
 
 
-def _opt_float(v):
-    if v is None or v == "":
-        return None
-    return float(v)
+def _optional(parse):
+    return lambda v: None if v is None or v == "" else parse(v)
 
 
-def _opt_int(v):
-    if v is None or v == "":
-        return None
-    return int(v)
+def _parse_bool(v) -> bool:
+    return v if isinstance(v, bool) else str(v).strip().lower() == "true"
 
 
-def _opt_bool(v):
-    if v is None or v == "":
-        return None
-    if isinstance(v, bool):
-        return v
-    return str(v).strip().lower() == "true"
+# Parser of a serialized value, keyed by the field's annotation as written
+# (annotations stay strings in this module); a field with any other
+# annotation fails here, at import.
+_PARSERS = {"str": str, "int": int, "float": float,
+            "Optional[float]": _optional(float), "Optional[int]": _optional(int),
+            "Optional[bool]": _optional(_parse_bool)}
+# (field name, wire name, parser) per column; "lambda" is the loading's
+# wire name.
+_COLUMNS = tuple((f.name, "lambda" if f.name == "loading" else f.name,
+                  _PARSERS[f.type]) for f in fields(ExperimentRecord))
+FIELD_ORDER = tuple(wire for _, wire, _ in _COLUMNS)
 
 
 def format_float(v: float) -> str:
@@ -160,23 +143,18 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
     def run_cell(cell):
         k, solver = cell
         inst = ProblemInstance(graph=g, k=k, loading=loading)
+        ident = dict(dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,
+                     solver=solver, upper_bound=bounds[k])
         try:
             rep = solve_with(solver, inst, eig=eig)
             sel = rep.selection
             return ExperimentRecord(
-                dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,
-                solver=solver, normalized_density=sel.normalized_density,
+                **ident, normalized_density=sel.normalized_density,
                 objective=sel.objective_at_loading, iterations=rep.iterations,
                 wall_time_s=rep.wall_time_s,
-                integral_before_projection=rep.integral,
-                upper_bound=bounds[k], status="ok")
+                integral_before_projection=rep.integral)
         except Exception as exc:  # noqa: BLE001 - sweep must survive a cell
-            return ExperimentRecord(
-                dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,
-                solver=solver, normalized_density=None, objective=None,
-                iterations=None, wall_time_s=None,
-                integral_before_projection=None, upper_bound=bounds[k],
-                status=f"failed: {exc}")
+            return ExperimentRecord(**ident, status=f"failed: {exc}")
 
     cells = [(k, s) for k in ks for s in solver_names]
     if jobs and jobs > 1:
@@ -202,7 +180,7 @@ def score_selection(g: Graph, vertex_labels, loading: float = 1.0,
         dataset=dataset, n=g.n, m=g.m, k=k, loading=loading, solver=solver,
         normalized_density=sel.normalized_density,
         objective=sel.objective_at_loading, iterations=0, wall_time_s=0.0,
-        integral_before_projection=True, upper_bound=bound, status="ok")
+        integral_before_projection=True, upper_bound=bound)
 
 
 def load_selection_file(path) -> list:
@@ -233,6 +211,21 @@ def _cell_value(v):
     return str(v)
 
 
+def _json_value(v):
+    if isinstance(v, float) and math.isfinite(v):
+        return float(format_float(v))
+    return v
+
+
+def _report_format(path, fmt):
+    """``fmt`` if given, else json for a .json path and csv otherwise."""
+    if fmt is None:
+        fmt = "json" if str(path).endswith(".json") else "csv"
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    return fmt
+
+
 def write_report(records, path, fmt: str = None) -> None:
     """Serialize records to CSV (header + rows) or a JSON array.
 
@@ -242,42 +235,24 @@ def write_report(records, path, fmt: str = None) -> None:
     records = list(records)
     if not records:
         raise ValueError("no records to write")
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    if fmt == "csv":
+    if _report_format(path, fmt) == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(FIELD_ORDER)
             for rec in records:
-                d = rec.as_dict()
-                writer.writerow([_cell_value(d[f]) for f in FIELD_ORDER])
-    elif fmt == "json":
-        payload = []
-        for rec in records:
-            d = rec.as_dict()
-            out = {}
-            for f in FIELD_ORDER:
-                v = d[f]
-                if isinstance(v, float) and math.isfinite(v):
-                    v = float(format_float(v))
-                out[f] = v
-            payload.append(out)
+                writer.writerow([_cell_value(v) for v in rec.as_dict().values()])
+    else:
+        payload = [{wire: _json_value(v) for wire, v in rec.as_dict().items()}
+                   for rec in records]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def read_report(path, fmt: str = None):
     """Parse a report written by write_report back into records."""
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
-    if fmt == "csv":
+    if _report_format(path, fmt) == "csv":
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            return [ExperimentRecord.from_dict(row) for row in reader]
-    if fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            return [ExperimentRecord.from_dict(d) for d in json.load(fh)]
-    raise ValueError(f"unknown report format {fmt!r}")
+            return [ExperimentRecord.from_dict(row) for row in csv.DictReader(fh)]
+    with open(path, "r", encoding="utf-8") as fh:
+        return [ExperimentRecord.from_dict(d) for d in json.load(fh)]

@@ -66,13 +66,12 @@ def _edge_list_str(g: Graph) -> str:
     return " ".join(f"{i}-{j}" for i, j in g.edges())
 
 
-def random_gnp(n: int, p: float, rng: np.random.Generator,
-               require_edge: bool = True) -> Graph:
+def random_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Seeded Erdos-Renyi graph; resamples until at least one edge exists."""
     while True:
         upper = rng.random((n, n)) < p
         rows, cols = np.nonzero(np.triu(upper, k=1))
-        if len(rows) or not require_edge:
+        if len(rows):
             edges = np.column_stack([rows, cols]).astype(np.int64)
             return Graph.from_edges(n, edges)
 

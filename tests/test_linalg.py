@@ -1,5 +1,7 @@
 """Spectral primitives: loaded matvec, quadratic form, power-iteration estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,27 @@ def test_loaded_matvec_triangle(triangle):
 def test_loaded_matvec_shape_check(triangle):
     with pytest.raises(ValueError):
         loaded_matvec(triangle, 1.0, np.ones(4))
+
+
+def test_loaded_matvec_adds_in_place():
+    # The loading term is added into scipy's product: the same sum, bit for
+    # bit, while the call holds two n-vectors instead of three.
+    rng = np.random.default_rng(13)
+    n = 10_000
+    g = Graph.from_edges(n, rng.integers(0, n, size=(50_000, 2)))
+    x = rng.random(n)
+    for lam in (0.0, 1.0, 1.5, 3.7):
+        np.testing.assert_array_equal(loaded_matvec(g, lam, x),
+                                      g.matrix.dot(x) + lam * x)
+    loaded_matvec(g, 1.5, x)  # first calls may cache allocations
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        loaded_matvec(g, 1.5, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * n) <= 2.1
 
 
 def test_quadratic_form_known_values(triangle):

@@ -1,5 +1,7 @@
 """Sweep records, serialization round-trips, and selection scoring."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,49 @@ def test_run_sweep_fw_matches_standalone_solve(monkeypatch, two_triangles, star5
             assert r.objective == alone.selection.objective_at_loading, where
             assert cell.iterations == alone.iterations, where
             assert np.array_equal(cell.final_point, alone.final_point), where
+
+
+COLUMNS = ["dataset", "n", "m", "k", "lambda", "solver", "normalized_density",
+           "objective", "iterations", "wall_time_s",
+           "integral_before_projection", "upper_bound", "status"]
+
+
+def test_wire_format(tmp_path):
+    # the bytes a reader of the files sees: header, column order, empty cells
+    failed = make_record(solver="param", normalized_density=None, objective=None,
+                         iterations=None, wall_time_s=None,
+                         integral_before_projection=None, upper_bound=0.5,
+                         status="failed: boom")
+    records = [make_record(), failed]
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    write_report(records, csv_path)
+    write_report(records, json_path)
+    assert csv_path.read_bytes().decode("utf-8").split("\r\n") == [
+        ",".join(COLUMNS),
+        "toy,6,6,3,1,fw,1,9,4,0.0123456789012,true,1,ok",
+        "toy,6,6,3,1,param,,,,,,0.5,failed: boom",
+        ""]
+    payload = json.loads(json_path.read_text(encoding="utf-8"))
+    assert [list(d) for d in payload] == [COLUMNS, COLUMNS]
+    assert list(payload[0].values()) == [
+        "toy", 6, 6, 3, 1.0, "fw", 1.0, 9.0, 4, 0.0123456789012, True, 1.0, "ok"]
+    assert list(payload[1].values())[6:] == [None] * 5 + [0.5, "failed: boom"]
+
+
+def test_read_report_empty_cells_are_none(tmp_path):
+    path = tmp_path / "hand.csv"
+    path.write_text(",".join(COLUMNS) + "\ntoy,6,6,3,1.5,fw,,,,,,,ok\n",
+                    encoding="utf-8")
+    [rec] = read_report(path)
+    assert (rec.dataset, rec.n, rec.m, rec.k, rec.loading, rec.solver,
+            rec.status) == ("toy", 6, 6, 3, 1.5, "fw", "ok")
+    for f in ("normalized_density", "objective", "iterations", "wall_time_s",
+              "integral_before_projection", "upper_bound"):
+        assert getattr(rec, f) is None, f
+    path.write_text(",".join(COLUMNS) + "\ntoy,6,6,3,1.5,fw,0.25,2,7,0.5,false,1,ok\n",
+                    encoding="utf-8")
+    [rec] = read_report(path)
+    assert (rec.normalized_density, rec.objective, rec.iterations,
+            rec.wall_time_s, rec.integral_before_projection,
+            rec.upper_bound) == (0.25, 2.0, 7, 0.5, False, 1.0)
+    assert type(rec.iterations) is int and type(rec.objective) is float
