@@ -55,8 +55,7 @@ def rank1_lrbo(g: Graph, k: int, loading: float = 1.0,
     return make_selection(g, top_k_indices(u1, k), loading)
 
 
-def density_upper_bound(g: Graph, k: int, eig=None, tol: float = CERT_TOL,
-                        max_iters: int = CERT_MAX_ITERS) -> float:
+def density_upper_bound(g: Graph, k: int, eig=None) -> float:
     """Certified upper bound on the normalized density of any k-subgraph.
 
     Returns min of three terms: the trivial cap 1; the rank-1 surrogate
@@ -64,8 +63,9 @@ def density_upper_bound(g: Graph, k: int, eig=None, tol: float = CERT_TOL,
     theta1 * (sum of u1 over the selection)^2 / (k(k-1)) + sigma2/(k-1);
     and sigma1/(k-1).  ``eig`` may pass a precomputed
     (sigma1, u1, sigma2) triple to amortize the eigensolves across many
-    values of k.  Tolerances default to CERT_TOL, much tighter than elsewhere,
-    because the bound is an inequality certificate, not a step-size heuristic.
+    values of k.  Without it the bound solves at CERT_TOL and
+    CERT_MAX_ITERS, much tighter than elsewhere, because the bound is an
+    inequality certificate, not a step-size heuristic.
 
     The iterative eigenvalue estimates converge from below, so plugging
     them in verbatim could undercut the true bound by an ulp and break
@@ -96,7 +96,7 @@ def density_upper_bound(g: Graph, k: int, eig=None, tol: float = CERT_TOL,
     if k > g.n:
         raise ValueError(f"k={k} exceeds n={g.n}")
     if eig is None:
-        eig = top_two_singular_values(g, tol=tol, max_iters=max_iters)
+        eig = top_two_singular_values(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
     _, u1, sigma2 = eig
     maxdeg = float(g.degrees.max()) if g.n else 0.0
     guard = 1.0 + (g.n + maxdeg + 16.0) * np.finfo(np.float64).eps

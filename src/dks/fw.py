@@ -28,7 +28,7 @@ import numpy as np
 from .graph import ProblemInstance, induced_edge_count
 from .linalg import loaded_matvec, spectral_norm
 from .points import is_feasible, project_capped_simplex, uniform_point
-from .rounding import VertexSelection, project_top_k
+from .rounding import SNAP_TOL, VertexSelection, project_top_k
 from .topk import indicator, top_k_indices
 
 STEP_RULES = ("exact", "option1", "option2")
@@ -87,9 +87,10 @@ def lmp_top_k(gradient, k: int) -> np.ndarray:
     return indicator(top_k_indices(gradient, k), len(gradient))
 
 
-def is_integral(x, tol: float = 1e-9) -> bool:
+def is_integral(x) -> bool:
+    """Every coordinate within rounding's SNAP_TOL of an integer."""
     x = np.asarray(x, dtype=np.float64)
-    return bool(np.all(np.abs(x - np.round(x)) <= tol))
+    return bool(np.all(np.abs(x - np.round(x)) <= SNAP_TOL))
 
 
 def curvature(g, loading: float, top, qx, val: float) -> float:
@@ -128,7 +129,7 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None) -> SolveRepor
         x = uniform_point(g.n, k)
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
-        if not is_feasible(x, k, tol=1e-9):
+        if not is_feasible(x, k):
             raise ValueError("x0 is not feasible for the box-and-sum polytope")
 
     exact = cfg.step_rule == "exact"
@@ -165,7 +166,7 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None) -> SolveRepor
             gamma = min(1.0, gap / (2.0 * k * lips))
         x = x + gamma * d
         iterations += 1
-        if not is_feasible(x, k, tol=1e-9):
+        if not is_feasible(x, k):
             raise SolverError(f"iterate {iterations} left the feasible polytope")
 
     return SolveReport(
@@ -173,7 +174,7 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None) -> SolveRepor
         objective_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
-        integral=is_integral(x) and is_feasible(x, k, tol=1e-9),
+        integral=is_integral(x) and is_feasible(x, k),
         final_point=x,
         selection=project_top_k(g, x, k, lam),
         wall_time_s=time.perf_counter() - t_start,

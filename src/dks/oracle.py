@@ -139,12 +139,12 @@ def project_scaled_simplex(u, scale: float) -> np.ndarray:
     return np.maximum(u - tau, 0.0)
 
 
-def _polish(g: Graph, loading: float, scale: float, x, iters: int = 300):
-    """Projected gradient ascent from x; only accepts improving steps."""
+def _polish(g: Graph, loading: float, scale: float, x):
+    """Projected gradient ascent from x for at most 300 steps; only accepts improving ones."""
     value = quadratic_form(g, loading, x)
     step = 1.0 / (float(g.degrees.max(initial=0)) + abs(loading) + 1.0)
     stall = 0
-    for _ in range(iters):
+    for _ in range(300):
         grad = 2.0 * loaded_matvec(g, loading, x)
         y = project_scaled_simplex(x + step * grad, scale)
         new_value = quadratic_form(g, loading, y)

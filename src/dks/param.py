@@ -6,7 +6,7 @@ exceed the budget.  The objective pulled back to theta-space is smooth
 except on the budget boundary, and its gradient is computable in
 O(m + n) via the rank-1 structure of the normalization Jacobian.  A
 self-contained adaptive-moment optimizer (Adam) drives the ascent;
-defaults follow learning rate 3, 200 iterations, theta0 = 0.
+defaults follow learning rate 3, 200 iterations, and θ starts at 0.
 
 The sigmoid is numpy's, computed in a form that cannot overflow; it
 agrees with scipy's ``expit`` to a few ulp, so the module needs nothing
@@ -131,8 +131,7 @@ def _objective_and_gradient(inst: ProblemInstance, theta, sig, slope, x):
     return value, grad, point
 
 
-def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
-                theta0=None) -> SolveReport:
+def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None) -> SolveReport:
     """Adaptive-moment ascent on the parameterized objective.
 
     Runs for the full iteration budget.  With no gap certificate in
@@ -149,12 +148,7 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
     t_start = time.perf_counter()
     cfg = cfg or OptimizerConfig()
     g, k, lam = inst.graph, inst.k, inst.loading
-    theta = np.zeros(g.n) if theta0 is None else np.asarray(theta0, dtype=np.float64).copy()
-    if theta.shape != (g.n,):
-        raise ValueError(f"theta0 has shape {theta.shape}, expected ({g.n},)")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta0 must be finite")
-
+    theta = np.zeros(g.n)
     m = np.zeros(g.n)
     v = np.zeros(g.n)
     sig, slope, x = (np.empty(g.n) for _ in range(3))
@@ -195,7 +189,7 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None,
         objective_trace=np.asarray(trace),
         iterations=cfg.max_iters,
         converged=False,
-        integral=is_integral(x) and is_feasible(x, k, tol=1e-9),
+        integral=is_integral(x) and is_feasible(x, k),
         final_point=x,
         selection=project_top_k(g, x, k, lam),
         wall_time_s=time.perf_counter() - t_start,

@@ -167,8 +167,7 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
 
 
 def score_selection(g: Graph, vertex_labels, loading: float = 1.0,
-                    dataset: str = "graph",
-                    solver: str = "external") -> ExperimentRecord:
+                    dataset: str = "graph") -> ExperimentRecord:
     """Score an externally produced selection (original vertex labels)."""
     idx = g.index_of(vertex_labels)
     if len(np.unique(idx)) != len(idx):
@@ -177,7 +176,7 @@ def score_selection(g: Graph, vertex_labels, loading: float = 1.0,
     k = len(idx)
     bound = density_upper_bound(g, k) if k >= 2 else None
     return ExperimentRecord(
-        dataset=dataset, n=g.n, m=g.m, k=k, loading=loading, solver=solver,
+        dataset=dataset, n=g.n, m=g.m, k=k, loading=loading, solver="external",
         normalized_density=sel.normalized_density,
         objective=sel.objective_at_loading, iterations=0, wall_time_s=0.0,
         integral_before_projection=True, upper_bound=bound)

@@ -130,7 +130,7 @@ def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
     if lam < 1.0:
         raise ValueError(f"rounding requires loading >= 1, got {lam}")
     x = np.asarray(x, dtype=np.float64).copy()
-    if not is_feasible(x, inst.k, tol=1e-9):
+    if not is_feasible(x, inst.k):
         raise ValueError("point is not feasible for the box-and-sum polytope")
 
     near_int = (x <= SNAP_TOL) | (x >= 1.0 - SNAP_TOL)

@@ -109,10 +109,10 @@ def small_graph_family(seed: int = 0, random_count: int = 50,
     return family
 
 
-def suite_motzkin(max_n: int = 12, seed: int = 0, random_count: int = 50,
-                  family=None) -> SuiteResult:
+def suite_motzkin(max_n: int = 12, seed: int = 0,
+                  random_count: int = 50) -> SuiteResult:
     """Simplex maximum = 1 + (loading-1)/omega, attained on a max clique."""
-    family = family if family is not None else small_graph_family(seed, random_count, max_n)
+    family = small_graph_family(seed, random_count, max_n)
     checks = 0
     for name, g in family:
         if g.n > max_n:
@@ -195,9 +195,9 @@ def best_rounded_value(inst: ProblemInstance, seed: int = 0,
 
 
 def suite_tightness(max_n: int = 10, seed: int = 0, random_count: int = 50,
-                    family=None, random_points: int = 200) -> SuiteResult:
+                    random_points: int = 200) -> SuiteResult:
     """Tight at loading 1; strict relaxation gap below 1 when k < omega."""
-    family = family if family is not None else small_graph_family(seed, random_count)
+    family = small_graph_family(seed, random_count)
     checks = 0
     for name, g in family:
         if g.n > max_n:
@@ -277,31 +277,25 @@ def suite_landscape(seed: int = 0, trials: int = 1000, loading: float = 1.5,
                        details=f"loading {loading}, strict quadratic increase")
 
 
+# Each suite's quick run at a shared size cap ``max_n``, keyed by its name.
 SUITES = {
-    "motzkin": suite_motzkin,
-    "rounding": suite_rounding,
-    "tightness": suite_tightness,
-    "landscape": suite_landscape,
+    "motzkin": lambda max_n, seed: suite_motzkin(
+        max_n=max_n, seed=seed, random_count=20 if max_n >= 7 else 0),
+    "rounding": lambda max_n, seed: suite_rounding(
+        seed=seed, trials=2000, max_n=max(5, min(50, max_n * 5))),
+    "tightness": lambda max_n, seed: suite_tightness(
+        max_n=max_n, seed=seed, random_count=20 if max_n >= 7 else 0,
+        random_points=100),
+    "landscape": lambda max_n, seed: suite_landscape(
+        seed=seed, trials=1000, max_n=max(5, min(50, max_n * 5))),
 }
 
 
 def run_suites(names, max_n: int = 8, seed: int = 0):
-    """Run the named suites with a shared size cap; returns SuiteResults."""
+    """Run the named suites' quick runs from ``SUITES``; returns SuiteResults."""
     results = []
     for name in names:
-        if name == "motzkin":
-            results.append(suite_motzkin(max_n=max_n, seed=seed,
-                                         random_count=20 if max_n >= 7 else 0))
-        elif name == "rounding":
-            results.append(suite_rounding(seed=seed, trials=2000,
-                                          max_n=max(5, min(50, max_n * 5))))
-        elif name == "tightness":
-            results.append(suite_tightness(max_n=max_n, seed=seed,
-                                           random_count=20 if max_n >= 7 else 0,
-                                           random_points=100))
-        elif name == "landscape":
-            results.append(suite_landscape(seed=seed, trials=1000,
-                                           max_n=max(5, min(50, max_n * 5))))
-        else:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        results.append(SUITES[name](max_n, seed))
     return results

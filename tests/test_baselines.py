@@ -125,7 +125,8 @@ def test_bound_sound_when_eigensolves_stop_unconverged(rest, max_iters):
     else:  # 5 000 disjoint edges
         other = [(i, i + 1) for i in range(4, 10004, 2)]
     g = Graph.from_edges(other[-1][1] + 1, k4 + other)
-    assert density_upper_bound(g, 4, max_iters=max_iters) >= 1.0
+    eig = top_two_singular_values(g, tol=CERT_TOL, max_iters=max_iters)
+    assert density_upper_bound(g, 4, eig=eig) >= 1.0
 
 
 def test_bound_k_validation(triangle):

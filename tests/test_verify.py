@@ -5,7 +5,7 @@ import pytest
 
 from dks.graph import ProblemInstance
 from dks.oracle import exact_dks
-from dks.verify import (SuiteResult, best_rounded_value, random_gnp,
+from dks.verify import (SUITES, SuiteResult, best_rounded_value, random_gnp,
                         run_suites, small_graph_family, suite_landscape,
                         suite_motzkin, suite_rounding, suite_tightness)
 
@@ -93,6 +93,31 @@ def test_run_suites_dispatch():
 def test_run_suites_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(["nonsense"])
+
+
+@pytest.mark.parametrize("max_n, random_count, pool_n", [(4, 0, 20), (7, 20, 35)])
+def test_run_suites_quick_settings(monkeypatch, max_n, random_count, pool_n):
+    # the quick runs behind `dks verify`: each suite's settings and the seed
+    calls = []
+    for name in SUITES:
+        def recorder(name=name, **kwargs):
+            calls.append((name, kwargs))
+            return SuiteResult(name, True, 1)
+        monkeypatch.setattr(f"dks.verify.suite_{name}", recorder)
+    results = run_suites(list(SUITES), max_n=max_n, seed=3)
+    assert [r.name for r in results] == list(SUITES)
+    assert calls == [
+        ("motzkin", dict(max_n=max_n, seed=3, random_count=random_count)),
+        ("rounding", dict(seed=3, trials=2000, max_n=pool_n)),
+        ("tightness", dict(max_n=max_n, seed=3, random_count=random_count,
+                           random_points=100)),
+        ("landscape", dict(seed=3, trials=1000, max_n=pool_n)),
+    ]
+    # an unknown name raises after the suites named before it have run
+    calls.clear()
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suites(["rounding", "nonsense", "motzkin"], max_n=max_n)
+    assert [name for name, _ in calls] == ["rounding"]
 
 
 def test_summary_failure_format():
