@@ -17,11 +17,11 @@ from dks.verify import run_suites
 def main() -> int:
     """Print each suite's summary; exit status 1 if any suite failed."""
     names = ["motzkin", "rounding", "tightness", "landscape"]
-    print("running the property suites (max_n=6, quick settings)\n")
+    print("running the property suites (max_n=4, seed=0, quick settings)\n")
     passed = True
     for name in names:
         t0 = time.perf_counter()
-        (result,) = run_suites([name], max_n=6)
+        (result,) = run_suites([name], max_n=4, seed=0)
         elapsed = time.perf_counter() - t0
         print(f"{result.summary()}   [{elapsed:.1f}s]")
         passed = passed and result.passed

@@ -15,7 +15,8 @@ import os
 import sys
 
 from .fw import STEP_RULES, FwConfig
-from .graph import Graph, ProblemInstance, induced_edge_count, load_edge_list
+from .graph import (Graph, ProblemInstance, check_loading, check_objective_fits,
+                    induced_edge_count, load_edge_list)
 from .param import OptimizerConfig
 from .report import (SOLVER_NAMES, format_float, load_selection_file,
                      run_sweep, score_selection, solve_with, write_report)
@@ -81,12 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(code: int, message: str) -> int:
+    """Print ``dks: message`` to stderr and return the exit code ``code``."""
+    print(f"dks: {message}", file=sys.stderr)
+    return code
+
+
 def _load_graph(path: str) -> Graph:
     try:
         return load_edge_list(path)
     except (OSError, ValueError, EOFError) as exc:
-        print(f"dks: cannot load graph: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from exc
+        raise SystemExit(_refuse(EXIT_IO, f"cannot load graph: {exc}")) from exc
 
 
 def _original_labels(g: Graph, vertices) -> list:
@@ -135,22 +141,20 @@ def _print_payload(payload: dict, output: str) -> None:
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     if not 1 <= args.k <= g.n:
-        print(f"dks: --k must be in [1, {g.n}], got {args.k}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, f"--k must be in [1, {g.n}], got {args.k}")
     inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
     # both configs are built, so a bad value is refused whichever solver runs
     iters = {} if args.max_iters is None else {"max_iters": args.max_iters}
     try:
+        check_objective_fits(args.k, args.loading)
         fw_cfg = FwConfig(step_rule=args.step_rule, gap_tol=args.gap_tol, **iters)
         opt_cfg = OptimizerConfig(learning_rate=args.lr, **iters)
     except ValueError as exc:
-        print(f"dks: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, str(exc))
     try:
         rep = solve_with(args.solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg)
     except Exception as exc:  # noqa: BLE001 - reported as solver failure
-        print(f"dks: solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _refuse(EXIT_SOLVER, f"solver failed: {exc}")
     _print_payload(_selection_payload(g, args, rep), args.output)
     return EXIT_OK
 
@@ -160,50 +164,41 @@ def cmd_sweep(args) -> int:
     try:
         ks = sorted(int(tok) for tok in args.k_list.split(",") if tok.strip())
     except ValueError:
-        print(f"dks: --k-list must be comma-separated integers, got "
-              f"{args.k_list!r}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, "--k-list must be comma-separated "
+                       f"integers, got {args.k_list!r}")
     solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
     if not ks or not solvers:
-        print("dks: --k-list and --solvers must be nonempty", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, "--k-list and --solvers must be nonempty")
     jobs = args.jobs
     if jobs is None:
         env = os.environ.get("DKS_JOBS", "")
         try:
             jobs = int(env) if env else os.cpu_count() or 1
         except ValueError:
-            print(f"dks: DKS_JOBS must be an integer, got {env!r}", file=sys.stderr)
-            return EXIT_BAD_FLAGS
+            return _refuse(EXIT_BAD_FLAGS, f"DKS_JOBS must be an integer, got {env!r}")
     if jobs < 1:
-        print(f"dks: --jobs (or DKS_JOBS) must be >= 1, got {jobs}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, f"--jobs (or DKS_JOBS) must be >= 1, got {jobs}")
     try:
         records = run_sweep(g, args.loading, ks, solvers,
                             dataset=os.path.basename(args.graph), jobs=jobs)
     except ValueError as exc:
         # run_sweep checks its k values and solver names before any work
-        print(f"dks: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, str(exc))
     except Exception as exc:  # noqa: BLE001
-        print(f"dks: sweep failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _refuse(EXIT_SOLVER, f"sweep failed: {exc}")
     try:
         write_report(records, args.out, fmt=args.format)
     except OSError as exc:
-        print(f"dks: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(EXIT_IO, f"cannot write report: {exc}")
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
-        print(f"dks: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, f"--seed must be >= 0, got {args.seed}")
     if args.max_n < 1:
-        print(f"dks: --max-n must be >= 1, got {args.max_n}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
+        return _refuse(EXIT_BAD_FLAGS, f"--max-n must be >= 1, got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, max_n=args.max_n, seed=args.seed)
     all_passed = True
@@ -218,14 +213,16 @@ def cmd_score(args) -> int:
     try:
         labels = load_selection_file(args.selection)
     except (OSError, ValueError) as exc:
-        print(f"dks: cannot load selection: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(EXIT_IO, f"cannot load selection: {exc}")
+    try:
+        check_objective_fits(len(labels), args.loading)
+    except ValueError as exc:
+        return _refuse(EXIT_BAD_FLAGS, str(exc))
     try:
         record = score_selection(g, labels, loading=args.loading,
                                  dataset=os.path.basename(args.graph))
     except ValueError as exc:
-        print(f"dks: invalid selection: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(EXIT_IO, f"invalid selection: {exc}")
     payload = {
         "graph": args.graph,
         "selection": args.selection,
@@ -249,11 +246,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on flag errors and 0 on --help; pass both through.
         return int(exc.code or 0)
-    loading = getattr(args, "loading", 0.0)
-    if not 0 <= loading < math.inf:
-        print(f"dks: --lambda must be finite and nonnegative, got {loading}",
-              file=sys.stderr)
-        return EXIT_BAD_FLAGS
+    try:
+        check_loading(getattr(args, "loading", 0.0))
+    except ValueError as exc:
+        return _refuse(EXIT_BAD_FLAGS, f"--lambda: {exc}")
     handlers = {"solve": cmd_solve, "sweep": cmd_sweep,
                 "verify": cmd_verify, "score": cmd_score}
     try:

@@ -80,8 +80,8 @@ class Graph:
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        pairs = np.array(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64, order="C").reshape(-1, 2)
+        pairs = _integer_ids(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        pairs = np.array(pairs, dtype=np.int64, order="C").reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError(f"vertex id out of range [0, {n})")
         indices, row_offsets = _arcs_in_place(n, pairs.reshape(-1))
@@ -123,8 +123,9 @@ class Graph:
 
     def index_of(self, labels) -> np.ndarray:
         """Map original input labels back to compact vertex ids."""
+        labels = _integer_ids(labels).tolist()
         try:
-            return np.array([self._label_index[int(x)] for x in labels], dtype=np.int64)
+            return np.array([self._label_index[x] for x in labels], dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"unknown vertex label {exc.args[0]}") from None
 
@@ -407,20 +408,38 @@ class ProblemInstance:
         check_loading(self.loading)
 
 
+def _integer_ids(ids) -> np.ndarray:
+    """``ids`` as an array unless it is a nonempty one of a non-integer dtype:
+    floats and bools are refused, as the loader refuses '1.5' in a file."""
+    arr = np.asarray(ids)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers within int64, got dtype {arr.dtype}")
+    return arr
+
+
 def check_loading(loading) -> None:
     """Reject a diagonal loading that is NaN, infinite or negative."""
     if not 0 <= loading < np.inf:
         raise ValueError(f"loading must be finite and nonnegative, got {loading}")
 
 
+def check_objective_fits(k: int, loading: float) -> None:
+    """Reject a loading at which k(k-1) + loading*k, the largest objective
+    a k-set can have, is not a finite float."""
+    if not np.isfinite(k * (k - 1) + loading * k):
+        raise ValueError(f"loading {loading} makes the objective "
+                         f"k(k-1) + loading*k overflow at k={k}")
+
+
 def induced_edge_count(g: Graph, subset) -> int:
     """Number of edges with both endpoints in ``subset`` (each counted once).
 
+    This is where a vertex set is checked: distinct integer ids in [0, n).
     One O(vol S) gather: the positions of every neighbour-list entry of the
     subset are built with ``np.repeat``, and one mask lookup counts the
     entries whose neighbour is in the subset too.
     """
-    s = np.asarray(subset, dtype=np.int64)
+    s = _integer_ids(subset).astype(np.int64, copy=False)
     if s.size and (s.min() < 0 or s.max() >= g.n):
         raise ValueError("vertex id out of range")
     if len(np.unique(s)) != len(s):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_loading
 
 # Eigensolve settings of the density-bound certificate.  A sweep's shared
 # triple and rank1's own solve use them too, so the triple is a pure cache.
@@ -104,8 +104,7 @@ def spectral_norm(g: Graph, loading: float, tol: float = 1e-6,
     nonnegative, even on a bipartite graph (where -theta1 is also an
     eigenvalue of A).  ``tol`` is the eigen-residual tolerance.
     """
-    if not loading >= 0:
-        raise ValueError("loading must be nonnegative")
+    check_loading(loading)
     lead = leading_eigenpair(g, tol=tol, max_iters=max_iters)
     return PowerResult(value=lead.value + loading, vector=lead.vector,
                        converged=lead.converged)

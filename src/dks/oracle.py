@@ -93,24 +93,6 @@ def _bron_kerbosch(masks, on_clique):
     expand(0, (1 << n) - 1, 0)
 
 
-def max_clique(g: Graph):
-    """(size, members) of a maximum clique; first one found at that size."""
-    if g.n > CLIQUE_GUARD:
-        raise ValueError(f"n={g.n} exceeds the clique guard {CLIQUE_GUARD}")
-    masks = _adjacency_masks(g)
-    best = {"mask": 1, "size": 1 if g.n else 0}
-
-    def visit(mask):
-        size = mask.bit_count()
-        if size > best["size"]:
-            best["size"] = size
-            best["mask"] = mask
-
-    _bron_kerbosch(masks, visit)
-    members = [i for i in range(g.n) if best["mask"] >> i & 1]
-    return best["size"], members
-
-
 def maximal_cliques(g: Graph, limit: int = 200000):
     """All maximal cliques as sorted vertex lists (guarded by ``limit``)."""
     if g.n > CLIQUE_GUARD:
@@ -125,6 +107,15 @@ def maximal_cliques(g: Graph, limit: int = 200000):
 
     _bron_kerbosch(masks, visit)
     return found
+
+
+def max_clique(g: Graph):
+    """(size, members) of a maximum clique: the first longest maximal clique.
+
+    By Moon-Moser, n <= 32 allows at most 3^(32/3) ~ 1.2e5 maximal cliques,
+    so ``maximal_cliques``' limit cannot fire."""
+    members = max(maximal_cliques(g), key=len)
+    return len(members), members
 
 
 def project_scaled_simplex(u, scale: float) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
 from .fw import FwConfig, SolveReport, fw_solve
-from .graph import Graph, ProblemInstance
+from .graph import Graph, ProblemInstance, check_objective_fits
 from .linalg import CERT_MAX_ITERS, CERT_TOL, top_two_singular_values
 from .param import OptimizerConfig, param_solve
 from .rounding import make_selection
@@ -119,12 +119,13 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
               dataset: str = "graph", jobs: int = 1):
     """Run every solver at every k; returns sorted ExperimentRecords.
 
-    ``k_values`` must be strictly ascending and within [1, n]; unknown
-    solver names are rejected up front.  Each cell runs its solver's
-    default config, so it equals a standalone ``solve_with``; one
-    eigensolve serves the bound and every rank1 cell.  A failing solver
-    yields a "failed" record and the sweep continues.  Densities and
-    iteration counts are reproducible; timings of course are not.
+    ``k_values`` must be strictly ascending and within [1, n], with a
+    finite objective at the loading; unknown solver names are rejected up
+    front.  Each cell runs its solver's default config, so it equals a
+    standalone ``solve_with``; one eigensolve serves the bound and every
+    rank1 cell.  A failing solver yields a "failed" record and the sweep
+    continues.  Densities and iteration counts are reproducible; timings
+    of course are not.
     """
     ks = [int(k) for k in k_values]
     if any(a >= b for a, b in zip(ks, ks[1:])):
@@ -132,6 +133,7 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
     for k in ks:
         if not 1 <= k <= g.n:
             raise ValueError(f"k={k} outside [1, {g.n}]")
+        check_objective_fits(k, loading)
     for name in solver_names:
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")

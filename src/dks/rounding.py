@@ -44,13 +44,10 @@ class VertexSelection:
 def make_selection(g: Graph, vertices, loading: float = 1.0) -> VertexSelection:
     """Build a VertexSelection with edge count and densities filled in."""
     check_loading(loading)
-    verts = np.sort(np.asarray(vertices, dtype=np.int64))
-    if len(np.unique(verts)) != len(verts):
-        raise ValueError("selection contains duplicate vertices")
-    if len(verts) and (verts[0] < 0 or verts[-1] >= g.n):
-        raise ValueError("vertex id out of range")
+    verts = np.sort(vertices)
+    edges = induced_edge_count(g, verts)  # checks the ids
+    verts = verts.astype(np.int64, copy=False)
     k = len(verts)
-    edges = induced_edge_count(g, verts)
     density = 2.0 * edges / (k * (k - 1)) if k >= 2 else 0.0
     return VertexSelection(vertices=verts, induced_edges=edges,
                            normalized_density=density,
@@ -59,13 +56,11 @@ def make_selection(g: Graph, vertices, loading: float = 1.0) -> VertexSelection:
 
 def project_top_k(g: Graph, x, k: int, loading: float = 1.0) -> VertexSelection:
     """Top-k projection: keep the k largest coordinates (ties to lowest index)."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < k:
-        raise ValueError(f"vector of length {len(x)} cannot yield k={k}")
     return make_selection(g, top_k_indices(x, k), loading)
 
 
-def _fractional_indices(x: np.ndarray) -> np.ndarray:
+def fractional_indices(x: np.ndarray) -> np.ndarray:
+    """Indices of the coordinates more than SNAP_TOL away from 0 and 1."""
     return np.flatnonzero((x > SNAP_TOL) & (x < 1.0 - SNAP_TOL))
 
 
@@ -85,68 +80,25 @@ def _move(x: np.ndarray, s: np.ndarray, v: int, nbrs: np.ndarray,
     return new
 
 
-def rounding_step(inst: ProblemInstance, x):
-    """One mass transfer between the extreme-scoring fractional pair.
+def _transfers(g: Graph, loading: float, x: np.ndarray):
+    """Make the rounding transfers on ``x`` in place, yielding (i, j, delta)
+    after each pair moves and before the pair's neighbors are rescored.
 
-    Scores are loading*x_i + s_i with s_i the sum of x over i's neighbors.
-    The donor j has the minimum score, the receiver i the maximum (ties to
-    lowest index), so the objective change
-    2*delta*(score_i - score_j) + 2*loading*delta^2            (non-edge)
-    2*delta*(score_i - score_j) + 2*(loading-1)*delta^2        (edge)
-    is nonnegative whenever loading >= 1.  Returns
-    (new_x, i, j, delta, is_edge).
+    Each transfer makes i or j integral, so there are at most n.  It
+    rescores only N(i), N(j) and {i, j}, the scores it changes, and finds
+    the donor with one argmin over n; the receiver is re-picked with a full
+    argmax only when it leaves the fractional set or its score falls.
     """
-    g, lam = inst.graph, inst.loading
-    x = np.asarray(x, dtype=np.float64).copy()
-    frac = _fractional_indices(x)
-    if len(frac) < 2:
-        raise ValueError("rounding step needs at least two fractional coordinates")
     s = g.matrix.dot(x)
-    scores = lam * x[frac] + s[frac]
-    top = int(np.argmax(scores))
-    i = int(frac[top])
-    scores[top] = np.inf
-    j = int(frac[np.argmin(scores)])
-    delta = float(min(x[j], 1.0 - x[i]))
-    _move(x, s, i, g.neighbors_of(i), delta)
-    _move(x, s, j, g.neighbors_of(j), -delta)
-    return x, i, j, delta, g.has_edge(i, j)
-
-
-def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
-    """Round a feasible fractional point to a 0/1 point with k ones.
-
-    Requires loading >= 1 (below that the no-decrease guarantee fails).
-    Repeats the step of ``rounding_step`` until at most one coordinate is
-    fractional, with the same pairs, arithmetic and ties.  Each step makes
-    i or j integral, so there are at most n steps.  A step rescores only
-    N(i), N(j) and {i, j}, whose scores are the only ones it changes, and
-    finds the donor with one contiguous argmin over n.  The receiver is
-    re-picked with a full argmax only when it leaves the fractional set or
-    its score falls.  A pass thus costs O(deg i + deg j) array work per
-    step plus n per argmin.
-    """
-    g, lam = inst.graph, inst.loading
-    if lam < 1.0:
-        raise ValueError(f"rounding requires loading >= 1, got {lam}")
-    x = np.asarray(x, dtype=np.float64).copy()
-    if not is_feasible(x, inst.k):
-        raise ValueError("point is not feasible for the box-and-sum polytope")
-
-    near_int = (x <= SNAP_TOL) | (x >= 1.0 - SNAP_TOL)
-    x[near_int] = np.round(x[near_int])
-    s = g.matrix.dot(x)
-    lam = float(lam)  # so loading*x_v is a float64 product in Python as in numpy
-    # Coordinates outside ``frac`` are exactly 0 or 1, and a step snaps its
-    # pair or leaves it inside (0, 1), so only i and j ever leave the
-    # fractional set.  A score is loading*x_v + s_v; ``up`` and ``down``
-    # hold loading*x_v on fractional coordinates and +inf and -inf on the
-    # rest, so up + s and down + s are the scores with the integral
-    # coordinates pushed out of argmin and argmax.  ``lo`` holds up + s with
-    # +inf also on the receiver i, whose score is ``top``.
-    frac = _fractional_indices(x)
+    # Only i and j ever leave the fractional set ``frac``: a step snaps its
+    # pair or leaves it inside (0, 1).  A score is loading*x_v + s_v; ``up``
+    # and ``down`` hold loading*x_v on fractional coordinates and +inf and
+    # -inf on the rest, so up + s and down + s are the scores with the rest
+    # pushed out of argmin and argmax.  ``lo`` holds up + s with +inf also
+    # on the receiver i, whose score is ``top``.
+    frac = fractional_indices(x)
     up = np.full(g.n, np.inf)
-    up[frac] = lam * x[frac]
+    up[frac] = loading * x[frac]
     down = np.where(up < np.inf, up, -np.inf)
     lo = up + s
     i = int((down + s).argmax())
@@ -166,10 +118,11 @@ def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
         for v, nv, change in ((i, ni, delta), (j, nj, -delta)):
             new = _move(x, s, v, nv, change)
             if 0.0 < new < 1.0:
-                up[v] = down[v] = lam * new
+                up[v] = down[v] = loading * new
             else:
                 up[v], down[v] = np.inf, -np.inf
                 live -= 1
+        yield i, j, delta
         # Sorted, so the first-index argmax over it is the lowest-index tie;
         # the stable sort merges the two sorted neighbor lists in one pass.
         touched = np.concatenate((ni, nj, (i, j)))
@@ -190,6 +143,44 @@ def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
         lo[i] = np.inf
     else:
         raise RuntimeError("rounding failed to terminate (infeasible input?)")
+
+
+def rounding_step(inst: ProblemInstance, x):
+    """The first transfer of ``round_to_integral``, from x as given (unsnapped).
+
+    Scores are loading*x_i + s_i with s_i the sum of x over i's neighbors.
+    The donor j has the minimum score, the receiver i the maximum (ties to
+    lowest index), so the objective change
+    2*delta*(score_i - score_j) + 2*loading*delta^2            (non-edge)
+    2*delta*(score_i - score_j) + 2*(loading-1)*delta^2        (edge)
+    is nonnegative whenever loading >= 1.  Returns (new_x, i, j, delta, is_edge).
+    """
+    x = np.asarray(x, dtype=np.float64).copy()
+    if len(fractional_indices(x)) < 2:
+        raise ValueError("rounding step needs at least two fractional coordinates")
+    i, j, delta = next(_transfers(inst.graph, float(inst.loading), x))
+    return x, i, j, delta, inst.graph.has_edge(i, j)
+
+
+def round_to_integral(inst: ProblemInstance, x) -> np.ndarray:
+    """Round a feasible fractional point to a 0/1 point with k ones.
+
+    Requires loading >= 1 (below that the no-decrease guarantee fails).
+    Snaps coordinates within SNAP_TOL of 0 or 1, then makes the transfers
+    of ``rounding_step`` until at most one coordinate is fractional.
+    """
+    g, lam = inst.graph, inst.loading
+    if lam < 1.0:
+        raise ValueError(f"rounding requires loading >= 1, got {lam}")
+    x = np.asarray(x, dtype=np.float64).copy()
+    if not is_feasible(x, inst.k):
+        raise ValueError("point is not feasible for the box-and-sum polytope")
+
+    near_int = (x <= SNAP_TOL) | (x >= 1.0 - SNAP_TOL)
+    x[near_int] = np.round(x[near_int])
+    lam = float(lam)  # so loading*x_v is a float64 product in Python as in numpy
+    for _ in _transfers(g, lam, x):
+        pass
 
     # At most one fractional coordinate is left, and it can only carry
     # accumulated snap drift (< n * SNAP_TOL), so snapping it to the

@@ -30,7 +30,7 @@ from .graph import Graph, ProblemInstance
 from .linalg import quadratic_form
 from .oracle import exact_dks, max_clique, simplex_qp_max
 from .points import random_feasible_point
-from .rounding import round_to_integral, rounding_step
+from .rounding import fractional_indices, round_to_integral, rounding_step
 
 MOTZKIN_LOADINGS = (0.0, 0.25, 0.5, 0.75, 1.0)
 GAP_LOADINGS = (0.0, 0.5)
@@ -256,8 +256,7 @@ def suite_landscape(seed: int = 0, trials: int = 1000, loading: float = 1.5,
         g = pool[done % len(pool)]
         k = int(rng.integers(1, g.n))
         x = random_feasible_point(g.n, k, rng)
-        frac = np.sum((x > 1e-9) & (x < 1.0 - 1e-9))
-        if frac < 2:
+        if len(fractional_indices(x)) < 2:
             continue
         inst = ProblemInstance(graph=g, k=k, loading=loading)
         before = quadratic_form(g, loading, x)
@@ -291,7 +290,7 @@ SUITES = {
 }
 
 
-def run_suites(names, max_n: int = 8, seed: int = 0):
+def run_suites(names, max_n: int, seed: int):
     """Run the named suites' quick runs from ``SUITES``; returns SuiteResults."""
     results = []
     for name in names:

@@ -15,6 +15,15 @@ def graph_file(tmp_path):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -34,7 +43,7 @@ def test_solve_json_fields(graph_file, capsys):
     code, out, _ = run_cli(capsys, [
         "solve", "--graph", graph_file, "--k", "3", "--output", "json"])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["objective"] == 9.0
     assert sorted(payload["vertices"]) in ([0, 1, 2], [3, 4, 5])
     assert payload["converged"] is True
@@ -46,7 +55,7 @@ def test_solve_json_deterministic_modulo_timing(graph_file, capsys):
             "--output", "json"]
     _, out1, _ = run_cli(capsys, argv)
     _, out2, _ = run_cli(capsys, argv)
-    p1, p2 = json.loads(out1), json.loads(out2)
+    p1, p2 = loads(out1), loads(out2)
     p1.pop("wall_time_s"), p2.pop("wall_time_s")
     assert p1 == p2
 
@@ -57,7 +66,7 @@ def test_solve_each_solver(graph_file, capsys):
             "solve", "--graph", graph_file, "--k", "3", "--solver", solver,
             "--output", "json"])
         assert code == 0
-        assert json.loads(out)["normalized_density"] == 1.0
+        assert loads(out)["normalized_density"] == 1.0
 
 
 def test_solve_bad_k(graph_file, capsys):
@@ -136,7 +145,7 @@ def test_sweep_writes_csv_and_json(graph_file, tmp_path, capsys):
         "sweep", "--graph", graph_file, "--k-list", "2,3",
         "--solvers", "fw,greedy", "--out", str(out_json), "--format", "json"])
     assert code == 0
-    payload = json.loads(out_json.read_text())
+    payload = loads(out_json.read_text())
     assert len(payload) == 4
     assert all(rec["status"] == "ok" for rec in payload)
     assert all(rec["normalized_density"] == 1.0 for rec in payload)
@@ -149,7 +158,7 @@ def test_sweep_deterministic_modulo_timing(graph_file, tmp_path, capsys):
         run_cli(capsys, ["sweep", "--graph", graph_file, "--k-list", "2,3",
                          "--solvers", "fw,param,greedy,rank1",
                          "--out", str(path), "--format", "json"])
-        payload = json.loads(path.read_text())
+        payload = loads(path.read_text())
         for rec in payload:
             rec.pop("wall_time_s")
         outs.append(payload)
@@ -198,6 +207,7 @@ def test_sweep_jobs_env(graph_file, tmp_path, capsys, monkeypatch):
     ["--lr", "nan", "--solver", "param"],
     ["--lambda", "nan"],
     ["--lambda", "inf"],
+    ["--lambda", "1e308"],
 ])
 def test_solve_bad_values_exit_2(graph_file, capsys, flags):
     code, _, err = run_cli(capsys, [
@@ -209,9 +219,11 @@ def test_solve_bad_values_exit_2(graph_file, capsys, flags):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--k-list", "2,3", "--solvers", "fw", "--lambda", "-1"],
     ["sweep", "--k-list", "2,3", "--solvers", "fw", "--lambda", "nan"],
+    ["sweep", "--k-list", "2,3", "--solvers", "fw", "--lambda", "1e308"],
     ["sweep", "--k-list", "2,2", "--solvers", "greedy"],
     ["score", "--lambda", "-1"],
     ["score", "--lambda", "nan"],
+    ["score", "--lambda", "1e308"],
 ])
 def test_sweep_and_score_bad_values_exit_2(graph_file, tmp_path, capsys, argv):
     out, sel = tmp_path / "r.csv", tmp_path / "sel.txt"
@@ -222,6 +234,29 @@ def test_sweep_and_score_bad_values_exit_2(graph_file, tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("dks: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("loading, code", [("1e300", 0), ("1e308", 2)])
+@pytest.mark.parametrize("command", ["solve", "score", "sweep"])
+def test_lambda_at_the_objective_overflow(graph_file, tmp_path, capsys,
+                                          command, loading, code):
+    # k(k-1) + lambda*k at k = 3 is finite at 1e300 and overflows at 1e308
+    out, sel = tmp_path / "r.json", tmp_path / "sel.txt"
+    sel.write_text("0\n1\n2\n")
+    flags = {"solve": ["--k", "3", "--output", "json"],
+             "score": ["--selection", str(sel), "--output", "json"],
+             "sweep": ["--k-list", "2,3", "--solvers", "fw,greedy",
+                       "--out", str(out), "--format", "json"]}[command]
+    got, stdout, err = run_cli(capsys, [command, "--graph", graph_file,
+                                        "--lambda", loading, *flags])
+    assert got == code
+    if code:
+        assert err.startswith("dks: ") and "overflow" in err
+        assert stdout == "" and not out.exists()
+    else:
+        payload = loads(out.read_text() if command == "sweep" else stdout)
+        records = payload if command == "sweep" else [payload]
+        assert records and all(rec["objective"] >= rec["k"] * 1e300 for rec in records)
 
 
 @pytest.mark.parametrize("flags, env", [
@@ -280,7 +315,7 @@ def test_score(graph_file, tmp_path, capsys):
         "score", "--graph", graph_file, "--selection", str(sel),
         "--output", "json"])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["normalized_density"] == 1.0
     assert payload["induced_edges"] == 3
     assert payload["upper_bound"] >= 1.0
@@ -296,7 +331,7 @@ def test_score_counts_edges_at_large_lambda(graph_file, tmp_path, capsys, loadin
         "score", "--graph", graph_file, "--selection", str(sel),
         "--lambda", loading, "--output", "json"])
     assert code == 0
-    assert json.loads(out)["induced_edges"] == 3
+    assert loads(out)["induced_edges"] == 3
 
 
 def test_score_duplicate_vertex_exits_3(graph_file, tmp_path, capsys):
@@ -328,14 +363,14 @@ def test_solve_json_fw_gap(graph_file, capsys):
     # since NaN is not valid JSON
     _, out, _ = run_cli(capsys, [
         "solve", "--graph", graph_file, "--k", "3", "--output", "json"])
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["solver"] == "fw-exact"
     assert isinstance(payload["fw_gap"], float) and payload["fw_gap"] >= 0.0
     _, out, _ = run_cli(capsys, [
         "solve", "--graph", graph_file, "--k", "3", "--solver", "greedy",
         "--output", "json"])
     assert "NaN" not in out
-    assert json.loads(out)["fw_gap"] is None
+    assert loads(out)["fw_gap"] is None
     _, out, _ = run_cli(capsys, [
         "solve", "--graph", graph_file, "--k", "3", "--solver", "greedy"])
     assert "fw_gap: null" in out.splitlines()
@@ -347,7 +382,7 @@ def test_solve_step_rules(graph_file, capsys, rule):
         "solve", "--graph", graph_file, "--k", "3", "--step-rule", rule,
         "--output", "json"])
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["solver"] == f"fw-{rule}"
     assert payload["objective"] == 9.0
 
@@ -368,4 +403,4 @@ def test_solve_param_reports_not_converged(graph_file, capsys):
         "--max-iters", "1", "--output", "json"])
     assert code == 0
     assert '"converged": false' in out
-    assert json.loads(out)["iterations"] == 1
+    assert loads(out)["iterations"] == 1

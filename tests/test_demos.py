@@ -1,4 +1,4 @@
-"""Each fast demo under demos/ runs to completion as a script."""
+"""Each demo under demos/ runs to completion as a script."""
 
 import os
 import subprocess
@@ -8,13 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# The property suites take half a minute here; test_verify runs the same suites.
-SLOW = {"demo_theory_suites.py"}
-DEMOS = sorted(p for p in (ROOT / "demos").glob("demo_*.py") if p.name not in SLOW)
+DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 
 def test_demo_set():
-    assert len(DEMOS) == 7
+    assert len(DEMOS) == 8
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

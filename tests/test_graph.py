@@ -431,6 +431,26 @@ def test_index_of_unknown_label(triangle):
         triangle.index_of([7])
 
 
+@pytest.mark.parametrize("ids", [[0.5, 1.7], np.array([0.0, 1.0]), np.array([True, False])],
+                         ids=["fractions", "whole-floats", "bools"])
+@pytest.mark.parametrize("entry", [
+    lambda g, ids: Graph.from_edges(3, [ids]),
+    lambda g, ids: induced_edge_count(g, ids),
+    lambda g, ids: g.index_of(ids),
+], ids=["from_edges", "induced_edge_count", "index_of"])
+def test_vertex_ids_must_be_integers(triangle, entry, ids):
+    # ids are refused, not truncated: (0.5, 1.7) is not the edge (0, 1)
+    with pytest.raises(ValueError, match="integers"):
+        entry(triangle, ids)
+
+
+def test_integer_ids_of_any_width_pass(triangle):
+    assert Graph.from_edges(3, []).m == 0
+    assert Graph.from_edges(3, np.array([[0, 1]], dtype=np.uint8)).m == 1
+    assert induced_edge_count(triangle, np.array([0, 2], dtype=np.int32)) == 1
+    assert triangle.index_of(np.array([2], dtype=np.uint64)).tolist() == [2]
+
+
 def test_problem_instance_validation(triangle):
     ProblemInstance(graph=triangle, k=2, loading=1.0)
     with pytest.raises(ValueError):

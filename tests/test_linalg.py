@@ -69,6 +69,12 @@ def test_spectral_norm_known_values(triangle, star5, edgeless4):
     assert spectral_norm(edgeless4, 2.0).value == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("loading", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_spectral_norm_rejects_bad_loading(triangle, loading):
+    with pytest.raises(ValueError, match="loading"):
+        spectral_norm(triangle, loading)
+
+
 def test_spectral_norm_matches_dense():
     rng = np.random.default_rng(7)
     for _ in range(40):

@@ -82,6 +82,19 @@ def test_max_clique_against_enumeration():
         assert max_clique(g)[0] == want
 
 
+def test_max_clique_is_first_longest_maximal_clique():
+    from dks.verify import small_graph_family
+    rng = np.random.default_rng(52)
+    graphs = [g for _, g in small_graph_family()]
+    graphs += [random_graph(int(rng.integers(1, 25)), float(rng.uniform(0.0, 0.9)), rng)
+               for _ in range(60)]
+    for g in graphs:
+        cliques = maximal_cliques(g)
+        size = max(len(c) for c in cliques)
+        first = next(c for c in cliques if len(c) == size)
+        assert max_clique(g) == (size, first)
+
+
 def test_maximal_cliques_two_triangles(two_triangles):
     cliques = sorted(maximal_cliques(two_triangles))
     assert cliques == [[0, 1, 2], [3, 4, 5]]

@@ -245,7 +245,7 @@ def test_param_solve_works_in_fixed_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - entry) / (8 * n) <= 10
+    assert (peak - entry) / (8 * n) <= 9
 
 
 def test_import_does_not_load_scipy_special():

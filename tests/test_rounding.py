@@ -33,6 +33,10 @@ def test_make_selection_validation(triangle):
         make_selection(triangle, [0, 0])
     with pytest.raises(ValueError):
         make_selection(triangle, [0, 3])
+    # fractional and bool ids are refused, not truncated to [0, 1]
+    for ids in ([0.9, 1.2], np.array([True, True, False])):
+        with pytest.raises(ValueError, match="integers"):
+            make_selection(triangle, ids)
 
 
 @pytest.mark.parametrize("loading", [np.nan, np.inf, -5.0], ids=["nan", "inf", "negative"])
@@ -230,6 +234,39 @@ def _reference_round(inst, x):
     return x
 
 
+def _reference_move(x, s, v, nbrs, change):
+    """``_move`` as it stood beside ``_reference_step``, kept verbatim."""
+    old = x.item(v)
+    new = old + change
+    if new <= SNAP_TOL:
+        new = 0.0
+    elif new >= 1.0 - SNAP_TOL:
+        new = 1.0
+    x[v] = new
+    s[nbrs] += new - old
+    return new
+
+
+def _reference_step(inst, x):
+    """The O(m) scan ``rounding_step`` was before it became the first
+    transfer of ``round_to_integral``, kept verbatim as the reference."""
+    g, lam = inst.graph, inst.loading
+    x = np.asarray(x, dtype=np.float64).copy()
+    frac = np.flatnonzero((x > SNAP_TOL) & (x < 1.0 - SNAP_TOL))
+    if len(frac) < 2:
+        raise ValueError("rounding step needs at least two fractional coordinates")
+    s = g.matrix.dot(x)
+    scores = lam * x[frac] + s[frac]
+    top = int(np.argmax(scores))
+    i = int(frac[top])
+    scores[top] = np.inf
+    j = int(frac[np.argmin(scores)])
+    delta = float(min(x[j], 1.0 - x[i]))
+    _reference_move(x, s, i, g.neighbors_of(i), delta)
+    _reference_move(x, s, j, g.neighbors_of(j), -delta)
+    return x, i, j, delta, g.has_edge(i, j)
+
+
 def _relabel(n, edges, rng):
     label = rng.permutation(n)
     return Graph.from_edges(n, [(label[a], label[b]) for a, b in edges])
@@ -287,3 +324,52 @@ def test_round_matches_reference_scan_loop():
             x0 = _quarter_point(n, k, rng)
         want = _reference_round(inst, x0)
         assert np.array_equal(round_to_integral(inst, x0), want), case
+
+
+def _near_integral(x, rng):
+    """x with about a third of its coordinates moved to within SNAP_TOL of
+    0 or 1, unsnapped, so the step scores them as they are."""
+    x = x.copy()
+    near = rng.random(len(x)) < 1 / 3
+    noise = rng.choice([SNAP_TOL, SNAP_TOL / 2, 1e-12, 0.0], size=len(x))
+    x[near] = np.where(rng.random(len(x)) < 0.5, noise, 1.0 - noise)[near]
+    return x
+
+
+def test_rounding_step_matches_reference_scan():
+    # rounding_step is the first transfer of round_to_integral; it must
+    # pick the pair and move it exactly as the O(m) scan did.
+    rng = np.random.default_rng(61)
+    checked = 0
+    for case in range(1600):
+        n = int(rng.integers(2, 41))
+        kind, start = case % 3, (case // 3) % 4
+        loading = float(rng.choice([1.0, 1.5, 2.0, 3.7]))
+        if kind == 0:
+            g = random_graph(n, float(rng.uniform(0.05, 0.9)), rng)
+        elif kind == 1:
+            g = _hub_graph(n, int(rng.integers(1, min(4, n) + 1)), rng)
+        else:
+            g = _equal_stars(int(rng.integers(2, 5)), int(rng.integers(1, 9)), rng)
+            n = g.n
+        k = int(rng.integers(1, n + 1))
+        inst = ProblemInstance(graph=g, k=k, loading=loading)
+        if start == 0:
+            x0 = random_feasible_point(n, k, rng)
+        elif start == 1:
+            x0 = uniform_point(n, k)
+        elif start == 2:
+            x0 = _quarter_point(n, k, rng)
+        else:
+            x0 = _near_integral(random_feasible_point(n, k, rng), rng)
+        try:
+            want = _reference_step(inst, x0)
+        except ValueError:
+            with pytest.raises(ValueError, match="two fractional"):
+                rounding_step(inst, x0)
+            continue
+        got = rounding_step(inst, x0)
+        assert np.array_equal(got[0], want[0]), case
+        assert got[1:] == want[1:], case
+        checked += 1
+    assert checked >= 1000
