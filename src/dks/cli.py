@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .fw import STEP_RULES, FwConfig
 from .graph import (Graph, ProblemInstance, check_loading, check_objective_fits,
-                    induced_edge_count, load_edge_list)
+                    load_edge_list)
 from .param import OptimizerConfig
-from .report import (SOLVER_NAMES, format_float, load_selection_file,
-                     run_sweep, score_selection, solve_with, write_report)
+from .report import (SOLVER_NAMES, format_float, json_value, load_selection_file,
+                     run_sweep, score_labels, solve_with, write_report)
+from .rounding import VertexSelection
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -95,34 +95,22 @@ def _load_graph(path: str) -> Graph:
         raise SystemExit(_refuse(EXIT_IO, f"cannot load graph: {exc}")) from exc
 
 
-def _original_labels(g: Graph, vertices) -> list:
-    return [int(g.original_ids[v]) for v in vertices]
-
-
-def _selection_payload(g: Graph, args, rep) -> dict:
-    sel = rep.selection
-    return {
-        "solver": rep.solver_name,
-        "graph": args.graph,
-        "n": g.n,
-        "m": g.m,
-        "k": sel.k,
-        "lambda": float(format_float(args.loading)),
-        "vertices": _original_labels(g, sel.vertices),
-        "induced_edges": sel.induced_edges,
-        "normalized_density": float(format_float(sel.normalized_density)),
-        "objective": float(format_float(sel.objective_at_loading)),
-        "iterations": rep.iterations,
-        "converged": rep.converged,
-        # NaN (no gap: param, greedy, rank1) is not valid JSON
-        "fw_gap": (float(format_float(rep.fw_gap)) if math.isfinite(rep.fw_gap)
-                   else None),
-        "integral_before_projection": rep.integral,
-        "wall_time_s": rep.wall_time_s,
-    }
+def _selection_fields(sel: VertexSelection, loading: float, labels: list) -> dict:
+    """The selection block ``solve`` and ``score`` both print, in order."""
+    return {"k": sel.k, "lambda": loading, "vertices": labels,
+            "induced_edges": sel.induced_edges,
+            "normalized_density": sel.normalized_density,
+            "objective": sel.objective_at_loading}
 
 
 def _print_payload(payload: dict, output: str) -> None:
+    """Print ``payload`` as indented JSON or as ``key: value`` lines.
+
+    Every value goes through ``report.json_value`` first, so both forms
+    give a float at 12 significant digits and a NaN (param, greedy and
+    rank1 have no ``fw_gap``) as null.
+    """
+    payload = {key: json_value(value) for key, value in payload.items()}
     if output == "json":
         print(json.dumps(payload, indent=2))
         return
@@ -131,10 +119,8 @@ def _print_payload(payload: dict, output: str) -> None:
             value = " ".join(str(v) for v in value)
         elif isinstance(value, float):
             value = format_float(value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        elif value is None:
-            value = "null"
+        elif isinstance(value, bool) or value is None:
+            value = json.dumps(value)
         print(f"{key}: {value}")
 
 
@@ -155,7 +141,14 @@ def cmd_solve(args) -> int:
         rep = solve_with(args.solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg)
     except Exception as exc:  # noqa: BLE001 - reported as solver failure
         return _refuse(EXIT_SOLVER, f"solver failed: {exc}")
-    _print_payload(_selection_payload(g, args, rep), args.output)
+    sel = rep.selection
+    _print_payload({
+        "solver": rep.solver_name, "graph": args.graph, "n": g.n, "m": g.m,
+        # labels in compact-id order
+        **_selection_fields(sel, args.loading, g.original_ids[sel.vertices].tolist()),
+        "iterations": rep.iterations, "converged": rep.converged,
+        "fw_gap": rep.fw_gap, "integral_before_projection": rep.integral,
+        "wall_time_s": rep.wall_time_s}, args.output)
     return EXIT_OK
 
 
@@ -200,7 +193,10 @@ def cmd_verify(args) -> int:
     if args.max_n < 1:
         return _refuse(EXIT_BAD_FLAGS, f"--max-n must be >= 1, got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, max_n=args.max_n, seed=args.seed)
+    try:
+        results = run_suites(names, max_n=args.max_n, seed=args.seed)
+    except ImportError as exc:  # the atlas family's networkx is a test extra
+        return _refuse(EXIT_BAD_FLAGS, str(exc))
     all_passed = True
     for res in results:
         print(res.summary())
@@ -219,23 +215,12 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         return _refuse(EXIT_BAD_FLAGS, str(exc))
     try:
-        record = score_selection(g, labels, loading=args.loading,
-                                 dataset=os.path.basename(args.graph))
+        sel, bound = score_labels(g, labels, args.loading)
     except ValueError as exc:
         return _refuse(EXIT_IO, f"invalid selection: {exc}")
-    payload = {
-        "graph": args.graph,
-        "selection": args.selection,
-        "k": record.k,
-        "lambda": float(format_float(record.loading)),
-        "vertices": sorted(labels),
-        "induced_edges": induced_edge_count(g, g.index_of(labels)),
-        "normalized_density": float(format_float(record.normalized_density)),
-        "objective": float(format_float(record.objective)),
-        "upper_bound": None if record.upper_bound is None
-        else float(format_float(record.upper_bound)),
-    }
-    _print_payload(payload, args.output)
+    _print_payload({"graph": args.graph, "selection": args.selection,
+                    **_selection_fields(sel, args.loading, sorted(labels)),
+                    "upper_bound": bound}, args.output)
     return EXIT_OK
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import bz2
 import contextlib
 import gzip
-import io
 import lzma
 import os
 import re
 import warnings
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -172,30 +172,24 @@ def _read_pairs(path) -> np.ndarray:
         # never does.  Given a path, its C reader pulls the file in blocks.
         pairs = _parse_pairs(os.path.abspath(os.fsdecode(path)))
     except ValueError as exc:
-        _raise_first_bad_line(path, _read_text_bytes(path))
+        _raise_first_bad_line(path)
         raise ValueError(f"{path}: {exc}") from None
     if not len(pairs):
         raise ValueError(f"{path}: no edges found")
     return pairs
 
 
-def _decompressed_blocks(path, size: int):
-    """The file's bytes, decompressed by suffix, ``size`` at a time (-1: in one block)."""
+@contextlib.contextmanager
+def _opened(path, mode: str):
+    """The file, decompressed by suffix, open in ``mode``: "rb", or "rt" for
+    UTF-8 text whose lines end at LF, CR LF or a lone CR.  A corrupt stream
+    raises OSError (EOFError if it is cut short)."""
     opener = _OPENERS.get(os.path.splitext(os.fsdecode(path))[1], open)
     try:
-        with opener(path, "rb") as fh:
-            while block := fh.read(size):
-                yield block
-    except lzma.LZMAError as exc:  # gzip and bz2 raise OSError on a corrupt stream
+        with opener(path, mode, **({"encoding": "utf-8"} if mode == "rt" else {})) as fh:
+            yield fh
+    except (lzma.LZMAError, zlib.error) as exc:  # the rest of gzip and bz2 raise OSError
         raise OSError(f"{path}: {exc}") from None
-
-
-def _read_text_bytes(path) -> bytes:
-    """The file's bytes, decompressed by suffix, with newlines translated."""
-    raw = b"".join(_decompressed_blocks(path, -1))
-    if b"\r" in raw:  # the newline translation text-mode reading does
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return raw
 
 
 def _file_has_comment_after_data(path) -> bool:
@@ -207,8 +201,8 @@ def _file_has_comment_after_data(path) -> bool:
     from one break.
     """
     carry = b""
-    with contextlib.closing(_decompressed_blocks(path, _TEXT_BLOCK)) as blocks:
-        for block in blocks:
+    with _opened(path, "rb") as fh:
+        while block := fh.read(_TEXT_BLOCK):
             text = carry + block
             if b"\r" in text:
                 text = text.replace(b"\r", b"\n")
@@ -257,20 +251,20 @@ def _comment_after_data(raw: bytes) -> bool:
     return False
 
 
-def _raise_first_bad_line(path, raw: bytes) -> None:
+def _raise_first_bad_line(path) -> None:
     """Raise the ``path:lineno`` error for the first line breaking the grammar."""
-    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) != 2:
-            raise ValueError(
-                f"{path}:{lineno}: expected two vertex ids, got {len(tokens)} tokens")
-        if not all(_INT_TOKEN.fullmatch(t) for t in tokens):
-            raise ValueError(f"{path}:{lineno}: non-integer vertex id")
-        if not all(_INT64_MIN <= int(t) <= _INT64_MAX for t in tokens):
-            raise ValueError(f"{path}:{lineno}: vertex id outside the int64 range")
+    with _opened(path, "rt") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            if len(tokens) != 2:
+                raise ValueError(
+                    f"{path}:{lineno}: expected two vertex ids, got {len(tokens)} tokens")
+            if not all(_INT_TOKEN.fullmatch(t) for t in tokens):
+                raise ValueError(f"{path}:{lineno}: non-integer vertex id")
+            if not all(_INT64_MIN <= int(t) <= _INT64_MAX for t in tokens):
+                raise ValueError(f"{path}:{lineno}: vertex id outside the int64 range")
 
 
 def _arcs_in_place(n: int, ids: np.ndarray):

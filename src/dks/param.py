@@ -136,19 +136,42 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None) -> SolveRepo
 
     Runs for the full iteration budget.  With no gap certificate in
     theta-space and no convergence test, ``converged`` is always False.
-    A non-finite value raises SolverError.  The final selection is the top-k
+    A non-finite value or an overflow (Adam's squared gradient, at a huge
+    loading) raises SolverError.  The final selection is the top-k
     projection of the final x, which also repairs any budget shortfall
     left by the <=k relaxation.
+    """
+    t_start = time.perf_counter()
+    cfg = cfg or OptimizerConfig()
+    try:
+        with np.errstate(over="raise"):
+            trace, x = _adam_ascent(inst, cfg)
+    except FloatingPointError:
+        raise SolverError(f"non-finite value: overflow at loading {inst.loading}"
+                          " (loading too large?)") from None
+    return SolveReport(
+        solver_name="param",
+        objective_trace=np.asarray(trace),
+        iterations=cfg.max_iters,
+        converged=False,
+        integral=is_integral(x) and is_feasible(x, inst.k),
+        final_point=x,
+        selection=project_top_k(inst.graph, x, inst.k, inst.loading),
+        wall_time_s=time.perf_counter() - t_start,
+    )
+
+
+def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):
+    """The objective trace and the final x of ``param_solve``'s Adam loop.
 
     The loop works in six n-vectors allocated once: theta, Adam's two
     moments, and three that hold the objective's intermediates and then
     serve as the update's scratch.  Each iteration allocates only the
     gradient and the mat-vec's own temporaries, and drops the gradient
-    before the next mat-vec, so the loop peaks at about 8 n-vectors.
+    before the next mat-vec, so the loop peaks at about 8 n-vectors; all
+    but x are freed on return, before the selection's own temporaries.
     """
-    t_start = time.perf_counter()
-    cfg = cfg or OptimizerConfig()
-    g, k, lam = inst.graph, inst.k, inst.loading
+    g = inst.graph
     theta = np.zeros(g.n)
     m = np.zeros(g.n)
     v = np.zeros(g.n)
@@ -181,18 +204,8 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None) -> SolveRepo
         del grad, descent  # so the next mat-vec runs without the old gradient
 
     final_value, _, x = _objective_and_gradient(inst, theta, sig, slope, x)
-    del theta, m, v, slope  # free before the selection's own temporaries
     if not np.isfinite(final_value):
         raise SolverError("non-finite objective after the final update "
                           "(learning rate too large?)")
     trace.append(final_value)
-    return SolveReport(
-        solver_name="param",
-        objective_trace=np.asarray(trace),
-        iterations=cfg.max_iters,
-        converged=False,
-        integral=is_integral(x) and is_feasible(x, k),
-        final_point=x,
-        selection=project_top_k(g, x, k, lam),
-        wall_time_s=time.perf_counter() - t_start,
-    )
+    return trace, x

@@ -3,7 +3,8 @@
 A sweep runs each requested solver at each requested subgraph size,
 attaches the spectral density upper bound per size, and emits records
 whose fields, in order, are the report's columns.  Floats are serialized
-with 12 significant digits; a failed solver produces a record with status
+with 12 significant digits (``json_value`` is the rule for every JSON
+output, the CLI's too); a failed solver produces a record with status
 "failed" and null metrics instead of aborting the sweep.
 """
 
@@ -168,17 +169,19 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
     return records
 
 
+def score_labels(g: Graph, vertex_labels, loading: float):
+    """The selection of original vertex labels (checked and counted once, by
+    ``make_selection``) and the density bound at its size, None below 2."""
+    sel = make_selection(g, g.index_of(vertex_labels), loading)
+    return sel, (density_upper_bound(g, sel.k) if sel.k >= 2 else None)
+
+
 def score_selection(g: Graph, vertex_labels, loading: float = 1.0,
                     dataset: str = "graph") -> ExperimentRecord:
     """Score an externally produced selection (original vertex labels)."""
-    idx = g.index_of(vertex_labels)
-    if len(np.unique(idx)) != len(idx):
-        raise ValueError("selection file repeats a vertex")
-    sel = make_selection(g, idx, loading)
-    k = len(idx)
-    bound = density_upper_bound(g, k) if k >= 2 else None
+    sel, bound = score_labels(g, vertex_labels, loading)
     return ExperimentRecord(
-        dataset=dataset, n=g.n, m=g.m, k=k, loading=loading, solver="external",
+        dataset=dataset, n=g.n, m=g.m, k=sel.k, loading=loading, solver="external",
         normalized_density=sel.normalized_density,
         objective=sel.objective_at_loading, iterations=0, wall_time_s=0.0,
         integral_before_projection=True, upper_bound=bound)
@@ -212,9 +215,11 @@ def _cell_value(v):
     return str(v)
 
 
-def _json_value(v):
-    if isinstance(v, float) and math.isfinite(v):
-        return float(format_float(v))
+def json_value(v):
+    """``v`` as every JSON output writes it: a float at ``format_float``'s
+    12 significant digits, a NaN as null, anything else as it is."""
+    if isinstance(v, float):
+        return None if math.isnan(v) else float(format_float(v))
     return v
 
 
@@ -243,7 +248,7 @@ def write_report(records, path, fmt: str = None) -> None:
             for rec in records:
                 writer.writerow([_cell_value(v) for v in rec.as_dict().values()])
     else:
-        payload = [{wire: _json_value(v) for wire, v in rec.as_dict().items()}
+        payload = [{wire: json_value(v) for wire, v in rec.as_dict().items()}
                    for rec in records]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

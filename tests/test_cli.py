@@ -1,10 +1,18 @@
 """The dks command line, driven in-process through main(argv)."""
 
+import gzip
 import json
+import os
+import re
+import sys
 
 import pytest
 
+import dks.baselines
+import dks.graph
+from dks import Graph
 from dks.cli import main
+from dks.report import format_float
 
 
 @pytest.fixture
@@ -404,3 +412,160 @@ def test_solve_param_reports_not_converged(graph_file, capsys):
     assert code == 0
     assert '"converged": false' in out
     assert loads(out)["iterations"] == 1
+
+
+@pytest.mark.parametrize("suite, code", [
+    ("motzkin", 2), ("tightness", 2), ("all", 2), ("rounding", 0), ("landscape", 0)])
+def test_verify_without_networkx(capsys, monkeypatch, suite, code):
+    # networkx is a test extra, not a runtime dependency: without it the
+    # atlas suites are refused with the fix named (exit 2, not a failed
+    # suite's 1), and the suites that need no atlas still run
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    got, out, err = run_cli(capsys, ["verify", "--suite", suite, "--max-n", "4"])
+    assert got == code
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("dks: ") and "pip install 'dks[test]'" in err
+        assert out == ""
+    else:
+        assert f"{suite}: PASS" in out
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _floats(item)
+
+
+def test_json_floats_at_12_significant_digits(tmp_path, capsys):
+    # solve and score write every float, wall_time_s too, by the one JSON
+    # rule: format_float's 12 significant digits
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in [
+        (0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3), (1, 6)]))
+    sel = tmp_path / "sel.txt"
+    sel.write_text("6\n0\n1\n2\n3\n4\n5\n")
+    lam = ["--lambda", "0.1234567890123456"]
+    runs = [["solve", "--graph", str(path), "--k", "7", "--solver", solver, *lam]
+            for solver in ("fw", "param", "greedy", "rank1")]
+    runs.append(["score", "--graph", str(path), "--selection", str(sel), *lam])
+    for argv in runs:
+        code, out, _ = run_cli(capsys, [*argv, "--output", "json"])
+        assert code == 0
+        floats = list(_floats(loads(out)))
+        assert len(floats) >= 4
+        assert all(v == float(format_float(v)) for v in floats), argv
+
+
+def test_score_runs_each_step_once(graph_file, tmp_path, capsys, monkeypatch):
+    # one dks score maps its labels once, checks and counts the selection
+    # once (induced_edge_count, through make_selection) and bounds it once
+    calls = []
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Graph, "index_of", spy("index_of", Graph.index_of))
+    for name, original in [("induced_edge_count", dks.graph.induced_edge_count),
+                           ("density_upper_bound", dks.baselines.density_upper_bound)]:
+        counted = spy(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "dks"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    sel = tmp_path / "sel.txt"
+    sel.write_text("2\n0\n1\n")
+    code, out, _ = run_cli(capsys, ["score", "--graph", graph_file,
+                                    "--selection", str(sel), "--output", "json"])
+    assert code == 0 and loads(out)["induced_edges"] == 3
+    assert sorted(calls) == ["density_upper_bound", "index_of", "induced_edge_count"]
+
+
+# The exit-code contract, one row per (subcommand, numeric flag or DKS_JOBS,
+# value) and per (subcommand, file fault).  Each subcommand's base arguments
+# are valid, so a row's exit code is its own flag's or file's.
+_BASE_ARGV = {"solve": ["--graph", "--k", "2"],
+              "sweep": ["--graph", "--k-list", "2,3", "--solvers", "greedy", "--out"],
+              "verify": ["--suite", "rounding", "--max-n", "4"],
+              "score": ["--graph", "--selection"]}
+_VALUES = {"negative": ("-5", "-5"), "zero": ("0", "0"),
+           "huge": ("1" + "0" * 30, "1e308"),  # (integer flag, float flag)
+           "nan": ("nan", "nan"), "inf": ("inf", "inf"), "non-numeric": ("x", "x")}
+# (subcommand, flag, is a float flag, the value kinds that exit 0; all others exit 2)
+_NUMERIC_FLAGS = [
+    ("solve", "--k", False, ()),
+    ("solve", "--lambda", True, ("zero",)),
+    ("solve", "--max-iters", False, ("huge",)),
+    ("solve", "--gap-tol", True, ("zero", "huge")),
+    ("solve", "--lr", True, ("huge",)),
+    ("sweep", "--k-list", False, ()),
+    ("sweep", "--lambda", True, ("zero",)),
+    ("sweep", "--jobs", False, ("huge",)),
+    ("sweep", "DKS_JOBS", False, ("huge",)),
+    ("verify", "--max-n", False, ("huge",)),
+    ("verify", "--seed", False, ("zero", "huge")),
+    ("score", "--lambda", True, ("zero",)),
+]
+# (file fault, file name, as a graph, as a selection); None is a missing
+# file.  A selection is read as plain text, so a compressed one is garbage.
+_FILE_FAULTS = [
+    ("missing", "missing.txt", None, None),
+    ("empty", "empty.txt", b"", b""),
+    ("comments-only", "comments.txt", *[b"# a header\n\n# and nothing else\n"] * 2),
+    ("bad-token", "token.txt", b"0 1\n1 x\n", b"0\nx\n"),
+    ("hash-after-data", "hash.txt", b"0 1\n1 2 # a note\n", b"0\n1 # a note\n"),
+    # a gzip header before a deflate block of the reserved type 3
+    ("corrupt-gz", "g.txt.gz", *[b"\x1f\x8b\x08\0\0\0\0\0\0\xff" + b"\xff" * 8] * 2),
+    ("truncated-gz", "g.txt.gz", *[gzip.compress(b"0 1\n1 2\n")[:-12]] * 2),
+    ("corrupt-bz2", "g.txt.bz2", *[b"BZh9" + b"garbage" * 4] * 2),
+    ("corrupt-xz", "g.txt.xz", *[b"\xfd7zXZ\0" + b"\0" * 20] * 2),
+]
+_CONTRACT_ROWS = [
+    pytest.param(command, flag, _VALUES[kind][is_float], 0 if kind in ok else 2,
+                 id=f"{command}-{flag}-{kind}")
+    for command, flag, is_float, ok in _NUMERIC_FLAGS for kind in _VALUES
+] + [
+    # a file fault's value is (file name, content)
+    pytest.param(command, flag, (name, as_graph if flag == "--graph" else as_selection),
+                 3, id=f"{command}-{flag}-{fault}")
+    for command, flag in [("solve", "--graph"), ("sweep", "--graph"),
+                          ("score", "--graph"), ("score", "--selection")]
+    for fault, name, as_graph, as_selection in _FILE_FAULTS
+] + [pytest.param("sweep", "--out", ("missing-dir/r.csv", None), 3,
+                  id="sweep---out-unwritable")]
+
+
+@pytest.mark.parametrize("command, flag, value, code", _CONTRACT_ROWS)
+def test_cli_contract(graph_file, tmp_path, capsys, monkeypatch,
+                      command, flag, value, code):
+    sel, out = tmp_path / "sel.txt", tmp_path / "r.csv"
+    sel.write_text("0\n1\n2\n")
+    files = {"--graph": graph_file, "--selection": str(sel), "--out": str(out)}
+    monkeypatch.setenv("DKS_JOBS", "1")
+    if isinstance(value, tuple):
+        name, content = value
+        files[flag] = str(tmp_path / name)
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
+    argv = [command]
+    for arg in _BASE_ARGV[command]:
+        argv += [arg, files[arg]] if arg in files else [arg]
+    if flag == "DKS_JOBS":
+        monkeypatch.setenv("DKS_JOBS", value)
+    elif not isinstance(value, tuple):
+        if flag in argv:  # a base argument: replace its value
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    got, _, err = run_cli(capsys, argv)
+    assert got == code, (argv, err)
+    assert "Traceback" not in err
+    if code:
+        # ours read "dks: ..."; argparse's usage ends "dks solve: error: ..."
+        assert re.match(r"dks( \w+)?: ", err.splitlines()[-1]), err
+        assert not os.path.exists(files["--out"])

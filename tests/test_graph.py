@@ -261,6 +261,18 @@ def test_load_edge_list_bz2_and_xz(tmp_path, suffix, compress):
         load_edge_list(bad)
 
 
+@pytest.mark.parametrize("suffix, compress", [
+    ("", bytes), (".gz", gzip.compress), (".xz", lzma.compress)],
+    ids=["plain", "gz", "xz"])
+def test_bad_line_after_lone_cr_endings(tmp_path, suffix, compress):
+    # The error path streams the file's lines in text mode, whose universal
+    # newlines end a line at a lone CR as well as at LF and CR LF.
+    path = tmp_path / f"cr.txt{suffix}"
+    path.write_bytes(compress(b"10 20\r20 30\r\n30 x\r40 50\r"))
+    with pytest.raises(ValueError, match=r"cr\.txt\S*:3: non-integer vertex id"):
+        load_edge_list(path)
+
+
 def test_load_edge_list_url_shaped_path_stays_local(tmp_path, monkeypatch, no_network):
     # numpy opens a relative string path as a URL when it parses as one; the
     # loader must read 'http://x.txt' as the local file http:/x.txt.

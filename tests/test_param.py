@@ -210,6 +210,27 @@ def test_param_solve_matches_allocating_reference():
         assert np.array_equal(rep.final_point, x)
 
 
+@pytest.mark.filterwarnings("error")
+def test_param_solve_overflow_is_a_solver_failure():
+    # At a huge loading Adam's squared gradient is not a finite float, and
+    # theta would stop moving: the run fails as a SolverError, with no
+    # RuntimeWarning.  Every loading below that keeps its result bit for bit.
+    rng = np.random.default_rng(26)
+    cfg = OptimizerConfig(max_iters=30)
+    g4 = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    g150 = random_graph(150, 0.05, rng)
+    for g, k in [(g4, 2), (g150, 5), (g150, 120)]:
+        for loading in (0.0, 1.0, 1e100, 1e150, 1e154):
+            inst = ProblemInstance(graph=g, k=k, loading=loading)
+            rep = param_solve(inst, cfg)
+            trace, x = _reference_param_solve(inst, cfg)
+            assert rep.objective_trace[:-1].tolist() == trace
+            assert np.array_equal(rep.final_point, x)
+        for loading in (1e200, 1e300):
+            with pytest.raises(SolverError, match="overflow"):
+                param_solve(ProblemInstance(graph=g, k=k, loading=loading), cfg)
+
+
 def test_sigmoid_matches_expit():
     # The sigmoid is numpy's own; scipy's expit is the reference here only.
     expit = pytest.importorskip("scipy.special").expit

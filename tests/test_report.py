@@ -170,7 +170,7 @@ def test_score_selection_with_labels():
     assert rec.normalized_density == pytest.approx(1.0)
     assert rec.solver == "external"
     assert rec.status == "ok"
-    with pytest.raises(ValueError, match="repeats"):
+    with pytest.raises(ValueError, match="duplicate vertices"):
         score_selection(g, [10, 10, 20])
 
 
