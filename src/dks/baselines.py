@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
-from .linalg import (CERT_MAX_ITERS, CERT_TOL, leading_eigenpair,
-                     top_two_singular_values)
+from .graph import Graph, check_k
+from .linalg import leading_eigenpair, top_two_singular_values
 from .rounding import VertexSelection, make_selection
 from .topk import indicator, top_k_indices
 
@@ -25,8 +24,7 @@ def greedy_feige(g: Graph, k: int, loading: float = 1.0) -> VertexSelection:
     remaining k - |H| slots with the vertices outside H that have the
     most neighbors inside H.  All ties go to the lowest index.
     """
-    if not 2 <= k <= g.n:
-        raise ValueError(f"k={k} outside [2, {g.n}]")
+    check_k(k, 2, g.n)
     h_size = (k + 1) // 2
     core = top_k_indices(g.degrees, h_size)
     attached = g.matrix.dot(indicator(core, g.n))
@@ -45,13 +43,12 @@ def rank1_lrbo(g: Graph, k: int, loading: float = 1.0,
     disconnected graph u1 concentrates on the dominant component and the
     selection follows it; that is the documented behavior, not an error.
     ``eig`` may pass a (sigma1, u1, sigma2) triple as in
-    ``density_upper_bound``; without it u1 is solved for at the same
-    CERT_TOL and CERT_MAX_ITERS, so both routes see a bit-identical u1.
+    ``density_upper_bound``; without it u1 is solved for at
+    ``leading_eigenpair``'s default settings, the triple's own, so both
+    routes see a bit-identical u1.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} outside [1, {g.n}]")
-    u1 = (leading_eigenpair(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS).vector
-          if eig is None else eig[1])
+    check_k(k, 1, g.n)
+    u1 = leading_eigenpair(g).vector if eig is None else eig[1]
     return make_selection(g, top_k_indices(u1, k), loading)
 
 
@@ -63,9 +60,8 @@ def density_upper_bound(g: Graph, k: int, eig=None) -> float:
     theta1 * (sum of u1 over the selection)^2 / (k(k-1)) + sigma2/(k-1);
     and sigma1/(k-1).  ``eig`` may pass a precomputed
     (sigma1, u1, sigma2) triple to amortize the eigensolves across many
-    values of k.  Without it the bound solves at CERT_TOL and
-    CERT_MAX_ITERS, much tighter than elsewhere, because the bound is an
-    inequality certificate, not a step-size heuristic.
+    values of k.  Without it the bound solves at the default settings of
+    ``top_two_singular_values``, the certificate's.
 
     The iterative eigenvalue estimates converge from below, so plugging
     them in verbatim could undercut the true bound by an ulp and break
@@ -91,12 +87,9 @@ def density_upper_bound(g: Graph, k: int, eig=None) -> float:
     falls back to min(1, maxdeg/(k-1)), which holds because sigma1 never
     exceeds the maximum degree.
     """
-    if k < 2:
-        raise ValueError("the density bound needs k >= 2")
-    if k > g.n:
-        raise ValueError(f"k={k} exceeds n={g.n}")
+    check_k(k, 2, g.n)
     if eig is None:
-        eig = top_two_singular_values(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
+        eig = top_two_singular_values(g)
     _, u1, sigma2 = eig
     maxdeg = float(g.degrees.max()) if g.n else 0.0
     guard = 1.0 + (g.n + maxdeg + 16.0) * np.finfo(np.float64).eps

@@ -29,8 +29,15 @@ EXIT_IO = 3
 EXIT_SOLVER = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (subcommands' too) whose refusals are one ``dks: `` line, exit 2."""
+
+    def error(self, message):
+        raise SystemExit(_refuse(EXIT_BAD_FLAGS, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dks",
         description="Densest k-subgraph via a diagonally loaded quadratic "
                     "relaxation: solvers, baselines, bounds, and theory checks.")
@@ -228,8 +235,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on flag errors and 0 on --help; pass both through.
+    except SystemExit as exc:  # 2 from _Parser.error, 0 after --help
         return int(exc.code or 0)
     try:
         check_loading(getattr(args, "loading", 0.0))

@@ -20,7 +20,7 @@ same iterate, since option1 maximizes a lower bound of the same quadratic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,7 +78,21 @@ class SolveReport:
     final_point: np.ndarray
     selection: VertexSelection
     wall_time_s: float
-    fw_gap: float = field(default=float("nan"))
+    fw_gap: float
+
+
+def finish_report(solver_name: str, inst: ProblemInstance, t_start: float, x,
+                  trace, selection: VertexSelection, iterations: int,
+                  converged: bool, fw_gap: float = float("nan")) -> SolveReport:
+    """The report of a run started at ``t_start`` (``time.perf_counter``) that
+    ended at the point x with ``selection``: ``integral`` is whether x is a 0/1
+    point of the polytope, and the wall time ends now.  NaN is "no FW gap"."""
+    return SolveReport(
+        solver_name=solver_name, objective_trace=np.asarray(trace),
+        iterations=iterations, converged=converged,
+        integral=is_integral(x) and is_feasible(x, inst.k), final_point=x,
+        selection=selection, wall_time_s=time.perf_counter() - t_start,
+        fw_gap=fw_gap)
 
 
 def lmp_top_k(gradient, k: int) -> np.ndarray:
@@ -169,17 +183,8 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None) -> SolveRepor
         if not is_feasible(x, k):
             raise SolverError(f"iterate {iterations} left the feasible polytope")
 
-    return SolveReport(
-        solver_name=f"fw-{cfg.step_rule}",
-        objective_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-        integral=is_integral(x) and is_feasible(x, k),
-        final_point=x,
-        selection=project_top_k(g, x, k, lam),
-        wall_time_s=time.perf_counter() - t_start,
-        fw_gap=gap,
-    )
+    return finish_report(f"fw-{cfg.step_rule}", inst, t_start, x, trace,
+                         project_top_k(g, x, k, lam), iterations, converged, gap)
 
 
 def fw_multi_start(inst: ProblemInstance, cfg: FwConfig = None):

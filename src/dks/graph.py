@@ -25,6 +25,8 @@ import numpy as np
 import scipy.sparse
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+# What a byte that is not UTF-8 decodes to under errors="surrogateescape".
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 # The suffixes numpy's loadtxt decompresses when it gets a path; the
 # '#'-after-data guard must read the same text, so it opens them alike.
@@ -182,11 +184,13 @@ def _read_pairs(path) -> np.ndarray:
 @contextlib.contextmanager
 def _opened(path, mode: str):
     """The file, decompressed by suffix, open in ``mode``: "rb", or "rt" for
-    UTF-8 text whose lines end at LF, CR LF or a lone CR.  A corrupt stream
-    raises OSError (EOFError if it is cut short)."""
+    UTF-8 text whose lines end at LF, CR LF or a lone CR, and in which a byte
+    that is not UTF-8 reads as a lone surrogate.  A corrupt stream raises
+    OSError (EOFError if it is cut short)."""
     opener = _OPENERS.get(os.path.splitext(os.fsdecode(path))[1], open)
+    text = {"encoding": "utf-8", "errors": "surrogateescape"} if mode == "rt" else {}
     try:
-        with opener(path, mode, **({"encoding": "utf-8"} if mode == "rt" else {})) as fh:
+        with opener(path, mode, **text) as fh:
             yield fh
     except (lzma.LZMAError, zlib.error) as exc:  # the rest of gzip and bz2 raise OSError
         raise OSError(f"{path}: {exc}") from None
@@ -255,6 +259,8 @@ def _raise_first_bad_line(path) -> None:
     """Raise the ``path:lineno`` error for the first line breaking the grammar."""
     with _opened(path, "rt") as lines:
         for lineno, line in enumerate(lines, start=1):
+            if _NOT_UTF8.search(line):
+                raise ValueError(f"{path}:{lineno}: not UTF-8")
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
                 continue
@@ -397,8 +403,7 @@ class ProblemInstance:
     loading: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.graph.n:
-            raise ValueError(f"k={self.k} outside [1, {self.graph.n}]")
+        check_k(self.k, 1, self.graph.n)
         check_loading(self.loading)
 
 
@@ -409,6 +414,12 @@ def _integer_ids(ids) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers within int64, got dtype {arr.dtype}")
     return arr
+
+
+def check_k(k: int, lo: int, n: int) -> None:
+    """Reject a subgraph size k outside [lo, n]."""
+    if not lo <= k <= n:
+        raise ValueError(f"k={k} outside [{lo}, {n}]")
 
 
 def check_loading(loading) -> None:

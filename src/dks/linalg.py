@@ -16,8 +16,10 @@ import numpy as np
 
 from .graph import Graph, check_loading
 
-# Eigensolve settings of the density-bound certificate.  A sweep's shared
-# triple and rank1's own solve use them too, so the triple is a pure cache.
+# Eigensolve settings of the density-bound certificate, much tighter than a
+# step rule's (spectral_norm's), and the defaults of leading_eigenpair and
+# top_two_singular_values: a sweep's shared triple and rank1's own solve
+# agree bit for bit, so the triple is a pure cache.
 CERT_TOL = 1e-12
 CERT_MAX_ITERS = 20000
 
@@ -64,8 +66,8 @@ def _unit_start(n: int, seed: int, positive: bool) -> np.ndarray:
     return x / float(np.linalg.norm(x))
 
 
-def leading_eigenpair(g: Graph, tol: float = 1e-6,
-                      max_iters: int = 1000) -> PowerResult:
+def leading_eigenpair(g: Graph, tol: float = CERT_TOL,
+                      max_iters: int = CERT_MAX_ITERS) -> PowerResult:
     """Leading (Perron) eigenpair of the adjacency matrix A.
 
     Power iteration runs on A + I so the target eigenvalue is strictly
@@ -102,7 +104,8 @@ def spectral_norm(g: Graph, loading: float, tol: float = 1e-6,
 
     The identity holds for loading >= 0, where the matrix is entrywise
     nonnegative, even on a bipartite graph (where -theta1 is also an
-    eigenvalue of A).  ``tol`` is the eigen-residual tolerance.
+    eigenvalue of A).  ``tol`` is the eigen-residual tolerance; the
+    defaults are looser than the certificate's, enough for a step size.
     """
     check_loading(loading)
     lead = leading_eigenpair(g, tol=tol, max_iters=max_iters)
@@ -110,8 +113,8 @@ def spectral_norm(g: Graph, loading: float, tol: float = 1e-6,
                        converged=lead.converged)
 
 
-def top_two_singular_values(g: Graph, tol: float = 1e-6,
-                            max_iters: int = 1000):
+def top_two_singular_values(g: Graph, tol: float = CERT_TOL,
+                            max_iters: int = CERT_MAX_ITERS):
     """(sigma1, u1, sigma2) of the adjacency matrix A.
 
     sigma1 and u1 come from the leading eigenpair (for a nonnegative

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_k
 from .linalg import loaded_matvec, quadratic_form
 from .rounding import VertexSelection, make_selection
 
@@ -42,8 +42,7 @@ def exact_dks(g: Graph, k: int, loading: float = 1.0):
     strict maximum of 2*edges + loading*k, so the reported argmax is the
     lexicographically smallest one.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} outside [1, {g.n}]")
+    check_k(k, 1, g.n)
     if math.comb(g.n, k) > SUBSET_GUARD:
         raise ValueError(f"C({g.n},{k}) exceeds the enumeration guard {SUBSET_GUARD}")
     masks = _adjacency_masks(g)
@@ -93,27 +92,19 @@ def _bron_kerbosch(masks, on_clique):
     expand(0, (1 << n) - 1, 0)
 
 
-def maximal_cliques(g: Graph, limit: int = 200000):
-    """All maximal cliques as sorted vertex lists (guarded by ``limit``)."""
+def maximal_cliques(g: Graph):
+    """All maximal cliques as sorted vertex lists: by Moon-Moser, at most
+    3^10 * 2 = 118 098 under the clique guard's n <= 32."""
     if g.n > CLIQUE_GUARD:
         raise ValueError(f"n={g.n} exceeds the clique guard {CLIQUE_GUARD}")
-    masks = _adjacency_masks(g)
     found = []
-
-    def visit(mask):
-        if len(found) >= limit:
-            raise RuntimeError(f"maximal clique count exceeds limit {limit}")
-        found.append([i for i in range(g.n) if mask >> i & 1])
-
-    _bron_kerbosch(masks, visit)
+    _bron_kerbosch(_adjacency_masks(g), lambda mask: found.append(
+        [i for i in range(g.n) if mask >> i & 1]))
     return found
 
 
 def max_clique(g: Graph):
-    """(size, members) of a maximum clique: the first longest maximal clique.
-
-    By Moon-Moser, n <= 32 allows at most 3^(32/3) ~ 1.2e5 maximal cliques,
-    so ``maximal_cliques``' limit cannot fire."""
+    """(size, members) of a maximum clique: the first longest maximal clique."""
     members = max(maximal_cliques(g), key=len)
     return len(members), members
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ProblemInstance
-from .fw import SolveReport, SolverError, is_integral
+from .fw import SolveReport, SolverError, finish_report
 from .linalg import loaded_matvec
-from .points import is_feasible
 from .rounding import project_top_k
 
 
@@ -149,16 +148,9 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None) -> SolveRepo
     except FloatingPointError:
         raise SolverError(f"non-finite value: overflow at loading {inst.loading}"
                           " (loading too large?)") from None
-    return SolveReport(
-        solver_name="param",
-        objective_trace=np.asarray(trace),
-        iterations=cfg.max_iters,
-        converged=False,
-        integral=is_integral(x) and is_feasible(x, inst.k),
-        final_point=x,
-        selection=project_top_k(inst.graph, x, inst.k, inst.loading),
-        wall_time_s=time.perf_counter() - t_start,
-    )
+    return finish_report("param", inst, t_start, x, trace,
+                         project_top_k(inst.graph, x, inst.k, inst.loading),
+                         cfg.max_iters, False)
 
 
 def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import check_k
+
 
 def uniform_point(n: int, k: int) -> np.ndarray:
     """The fully symmetric feasible point x_i = k/n."""
@@ -27,8 +29,7 @@ def project_capped_simplex(u, k: int) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64)
     n = u.shape[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside [0, {n}]")
+    check_k(k, 0, n)
     if k == 0:
         return np.zeros(n)
     v = np.sort(u)

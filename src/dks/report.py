@@ -18,14 +18,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
-import numpy as np
-
 from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
-from .fw import FwConfig, SolveReport, fw_solve
-from .graph import Graph, ProblemInstance, check_objective_fits
-from .linalg import CERT_MAX_ITERS, CERT_TOL, top_two_singular_values
+from .fw import FwConfig, SolveReport, finish_report, fw_solve
+from .graph import Graph, ProblemInstance, check_k, check_objective_fits
+from .linalg import top_two_singular_values
 from .param import OptimizerConfig, param_solve
 from .rounding import make_selection
+from .topk import indicator
 
 SOLVER_NAMES = ("fw", "param", "greedy", "rank1")
 
@@ -93,8 +92,8 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
     """Dispatch a solver by name onto a common SolveReport shape.
 
     ``eig``, a (sigma1, u1, sigma2) triple from ``top_two_singular_values``
-    at CERT_TOL and CERT_MAX_ITERS, spares rank1 its eigensolve and is read
-    by nothing else.  rank1 alone solves at those same settings, so every
+    at its default settings, spares rank1 its eigensolve and is read by
+    nothing else.  rank1 alone solves at those same settings, so every
     solver gives the same report with or without ``eig``.
     """
     if name == "fw":
@@ -107,12 +106,8 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
             sel = greedy_feige(inst.graph, inst.k, inst.loading)
         else:
             sel = rank1_lrbo(inst.graph, inst.k, inst.loading, eig=eig)
-        x = np.zeros(inst.graph.n)
-        x[sel.vertices] = 1.0
-        return SolveReport(
-            solver_name=name, objective_trace=np.array([sel.objective_at_loading]),
-            iterations=0, converged=True, integral=True, final_point=x,
-            selection=sel, wall_time_s=time.perf_counter() - t0)
+        return finish_report(name, inst, t0, indicator(sel.vertices, inst.graph.n),
+                             [sel.objective_at_loading], sel, 0, True)
     raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
 
 
@@ -132,14 +127,13 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
     if any(a >= b for a, b in zip(ks, ks[1:])):
         raise ValueError("k values must be sorted strictly ascending")
     for k in ks:
-        if not 1 <= k <= g.n:
-            raise ValueError(f"k={k} outside [1, {g.n}]")
+        check_k(k, 1, g.n)
         check_objective_fits(k, loading)
     for name in solver_names:
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
 
-    eig = top_two_singular_values(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
+    eig = top_two_singular_values(g)
     bounds = {k: (density_upper_bound(g, k, eig=eig) if k >= 2 else None)
               for k in ks}
 

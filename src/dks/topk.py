@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import check_k
+
 
 def top_k_indices(values, k: int) -> np.ndarray:
     """Indices of the k largest entries of ``values``, ties to lowest index.
@@ -17,8 +19,7 @@ def top_k_indices(values, k: int) -> np.ndarray:
     """
     v = np.asarray(values)
     n = v.shape[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside [0, {n}]")
+    check_k(k, 0, n)
     if k == 0:
         return np.empty(0, dtype=np.int64)
     if k == n:

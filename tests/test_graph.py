@@ -5,6 +5,7 @@ import gzip
 import io
 import lzma
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 import dks.graph as graph_module
-from dks import Graph, ProblemInstance, load_edge_list
+from dks import (Graph, ProblemInstance, density_upper_bound, exact_dks,
+                 greedy_feige, load_edge_list, project_capped_simplex,
+                 rank1_lrbo, run_sweep, top_k_indices)
 from dks.graph import induced_edge_count, normalized_density
 
 from conftest import random_graph
@@ -273,6 +276,22 @@ def test_bad_line_after_lone_cr_endings(tmp_path, suffix, compress):
         load_edge_list(path)
 
 
+@pytest.mark.parametrize("suffix, compress", [
+    ("", bytes), (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress)],
+    ids=["plain", "gz", "bz2", "xz"])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, suffix, compress):
+    # The decoder's own error gives a position within its chunk, not a line.
+    lines = [b"%d %d\r\n" % (i, i + 1) for i in range(4000)]
+    lines[3000] = b"3000 \xff3001\r\n"
+    path = tmp_path / f"latin.txt{suffix}"
+    path.write_bytes(compress(b"".join(lines)))
+    with pytest.raises(ValueError, match=r"latin\.txt\S*:3001: not UTF-8"):
+        load_edge_list(path)
+    path.write_bytes(compress(b"0 1\n# caf\xe9\n1 2\n"))  # in a comment too
+    with pytest.raises(ValueError, match=r"latin\.txt\S*:2: not UTF-8"):
+        load_edge_list(path)
+
+
 def test_load_edge_list_url_shaped_path_stays_local(tmp_path, monkeypatch, no_network):
     # numpy opens a relative string path as a URL when it parses as one; the
     # loader must read 'http://x.txt' as the local file http:/x.txt.
@@ -474,6 +493,31 @@ def test_problem_instance_validation(triangle):
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             ProblemInstance(graph=triangle, k=2, loading=lam)
+
+
+# Every entry point that takes a subgraph size k, with the lowest k it takes.
+_K_ENTRY_POINTS = [
+    ("project_capped_simplex", 0, lambda g, k: project_capped_simplex(
+        np.linspace(0.0, 1.0, g.n), k)),
+    ("top_k_indices", 0, lambda g, k: top_k_indices(g.degrees, k)),
+    ("greedy_feige", 2, greedy_feige),
+    ("rank1_lrbo", 1, rank1_lrbo),
+    ("density_upper_bound", 2, density_upper_bound),
+    ("ProblemInstance", 1, lambda g, k: ProblemInstance(graph=g, k=k)),
+    ("exact_dks", 1, exact_dks),
+    ("run_sweep", 1, lambda g, k: run_sweep(g, 1.0, [k], ["rank1"])),
+]
+
+
+@pytest.mark.parametrize("lo, entry", [pytest.param(lo, entry, id=name)
+                                       for name, lo, entry in _K_ENTRY_POINTS])
+def test_k_range_is_one_rule(two_triangles, lo, entry):
+    g = two_triangles
+    entry(g, lo)
+    entry(g, g.n)
+    for k in (lo - 1, g.n + 1):
+        with pytest.raises(ValueError, match=re.escape(f"k={k} outside [{lo}, {g.n}]")):
+            entry(g, k)
 
 
 def test_induced_edge_count(two_triangles):

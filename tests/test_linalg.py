@@ -7,6 +7,7 @@ import pytest
 
 from dks import (Graph, leading_eigenpair, loaded_matvec, quadratic_form,
                  spectral_norm, top_two_singular_values)
+from dks.linalg import CERT_MAX_ITERS, CERT_TOL
 from dks.oracle import dense_eig
 
 from conftest import random_graph
@@ -142,3 +143,19 @@ def test_power_result_reports_nonconvergence(k5):
     res = spectral_norm(k5, 1.0, tol=1e-12, max_iters=1)
     assert not res.converged
     assert res.value > 0
+
+
+def test_eigensolves_default_to_the_certificate_settings():
+    # the bound, rank1 and a sweep call both at their defaults; spectral_norm
+    # keeps the looser settings of the option1/option2 step rules
+    g = random_graph(60, 0.15, np.random.default_rng(9))
+    lead = leading_eigenpair(g)
+    cert = leading_eigenpair(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
+    assert (lead.value, lead.converged) == (cert.value, cert.converged)
+    assert np.array_equal(lead.vector, cert.vector)
+    s1, u1, s2 = top_two_singular_values(g)
+    c1, v1, c2 = top_two_singular_values(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
+    assert (s1, s2) == (c1, c2) and np.array_equal(u1, v1)
+    loose = leading_eigenpair(g, tol=1e-6, max_iters=1000)
+    assert np.array_equal(spectral_norm(g, 0.0).vector, loose.vector)
+    assert not np.array_equal(loose.vector, cert.vector)

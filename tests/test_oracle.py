@@ -100,11 +100,6 @@ def test_maximal_cliques_two_triangles(two_triangles):
     assert cliques == [[0, 1, 2], [3, 4, 5]]
 
 
-def test_maximal_cliques_limit(k5):
-    with pytest.raises(RuntimeError, match="limit"):
-        maximal_cliques(k5, limit=0)
-
-
 def test_clique_guard():
     g = Graph.from_edges(33, [(0, 1)])
     with pytest.raises(ValueError, match="guard"):
