@@ -6,7 +6,7 @@ some integral point is globally optimal — and any fractional point can
 be rounded to an integral one without losing objective value.  The
 package provides:
 
-- sparse CSR graphs with SNAP-style edge-list loading (``graph``),
+- sparse CSR graphs and their SNAP-style vertex-id file loaders (``graph``),
 - O(m+n) linear-algebra kernels and power-iteration spectral estimates
   built on one Perron eigensolve (``linalg``),
 - a Frank-Wolfe solver whose linear step is a top-k selection (``fw``),
@@ -24,7 +24,7 @@ from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
 from .fw import (FwConfig, SolveReport, SolverError, fw_multi_start, fw_solve,
                  lmp_top_k)
 from .graph import (Graph, ProblemInstance, induced_edge_count, load_edge_list,
-                    normalized_density)
+                    load_selection_file, normalized_density)
 from .linalg import (PowerResult, leading_eigenpair, loaded_matvec,
                      quadratic_form, spectral_norm, top_two_singular_values)
 from .oracle import (dense_eig, exact_dks, max_clique, maximal_cliques,
@@ -33,8 +33,8 @@ from .param import (OptimizerConfig, param_objective_and_gradient, param_solve,
                     theta_to_x)
 from .points import (is_feasible, project_capped_simplex, random_feasible_point,
                      uniform_point)
-from .report import (ExperimentRecord, load_selection_file, read_report,
-                     run_sweep, score_selection, solve_with, write_report)
+from .report import (ExperimentRecord, read_report, run_sweep, score_selection,
+                     solve_with, write_report)
 from .rounding import (VertexSelection, make_selection, project_top_k,
                        round_to_integral, rounding_step)
 from .topk import top_k_indices

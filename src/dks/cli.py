@@ -14,11 +14,11 @@ import os
 import sys
 
 from .fw import STEP_RULES, FwConfig
-from .graph import (Graph, ProblemInstance, check_loading, check_objective_fits,
-                    load_edge_list)
+from .graph import (ProblemInstance, check_loading, check_objective_fits,
+                    load_edge_list, load_selection_file)
 from .param import OptimizerConfig
-from .report import (SOLVER_NAMES, format_float, json_value, load_selection_file,
-                     run_sweep, score_labels, solve_with, write_report)
+from .report import (SOLVER_NAMES, format_float, json_value, run_sweep,
+                     score_labels, solve_with, write_report)
 from .rounding import VertexSelection
 from .verify import SUITES, run_suites
 
@@ -95,11 +95,12 @@ def _refuse(code: int, message: str) -> int:
     return code
 
 
-def _load_graph(path: str) -> Graph:
+def _load(reader, path: str, what: str):
+    """``reader(path)``, or exit 3 with ``dks: cannot load <what>: ...``."""
     try:
-        return load_edge_list(path)
+        return reader(path)
     except (OSError, ValueError, EOFError) as exc:
-        raise SystemExit(_refuse(EXIT_IO, f"cannot load graph: {exc}")) from exc
+        raise SystemExit(_refuse(EXIT_IO, f"cannot load {what}: {exc}")) from exc
 
 
 def _selection_fields(sel: VertexSelection, loading: float, labels: list) -> dict:
@@ -132,7 +133,7 @@ def _print_payload(payload: dict, output: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(load_edge_list, args.graph, "graph")
     if not 1 <= args.k <= g.n:
         return _refuse(EXIT_BAD_FLAGS, f"--k must be in [1, {g.n}], got {args.k}")
     inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
@@ -160,7 +161,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(load_edge_list, args.graph, "graph")
     try:
         ks = sorted(int(tok) for tok in args.k_list.split(",") if tok.strip())
     except ValueError:
@@ -212,11 +213,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_score(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        labels = load_selection_file(args.selection)
-    except (OSError, ValueError) as exc:
-        return _refuse(EXIT_IO, f"cannot load selection: {exc}")
+    g = _load(load_edge_list, args.graph, "graph")
+    labels = _load(load_selection_file, args.selection, "selection")
     try:
         check_objective_fits(len(labels), args.loading)
     except ValueError as exc:

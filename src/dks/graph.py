@@ -1,4 +1,4 @@
-"""Sparse undirected simple graphs in CSR form, plus edge-list loading.
+"""Sparse undirected simple graphs in CSR form, and the vertex-id file loaders.
 
 A graph holds its adjacency once, as one scipy CSR matrix; the index
 arrays the solvers walk are that matrix's own.  Graphs are immutable after
@@ -28,6 +28,7 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 # What a byte that is not UTF-8 decodes to under errors="surrogateescape".
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+_EXPECTED_IDS = {1: "one vertex id", 2: "two vertex ids"}
 # The suffixes numpy's loadtxt decompresses when it gets a path; the
 # '#'-after-data guard must read the same text, so it opens them alike.
 _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
@@ -151,7 +152,9 @@ def load_edge_list(path) -> Graph:
     matrix's data is allocated.  The peak, set by compaction, is about twice
     the parsed array.
     """
-    ids = _read_pairs(path).reshape(-1)
+    ids = _read_ids(path, 2).reshape(-1)
+    if not len(ids):
+        raise ValueError(f"{path}: no edges found")
     labels = _first_appearance_ids(ids)
     n = len(labels)
     indices, row_offsets = _arcs_in_place(n, ids)
@@ -160,8 +163,20 @@ def load_edge_list(path) -> Graph:
                  original_ids=labels)
 
 
-def _read_pairs(path) -> np.ndarray:
-    """The file's edge lines as an (E, 2) int64 array of labels.
+def load_selection_file(path) -> list:
+    """The labels of a vertex-selection file, in file order, as Python ints.
+
+    Its grammar, suffixes and ``path:lineno`` errors are ``load_edge_list``'s,
+    with one vertex id per line in place of two.
+    """
+    ids = _read_ids(path, 1).reshape(-1)
+    if not len(ids):
+        raise ValueError(f"{path}: no vertex ids found")
+    return ids.tolist()
+
+
+def _read_ids(path, per_line: int) -> np.ndarray:
+    """The file's data lines as an (E, per_line) int64 array of labels.
 
     numpy's text parser reads the whole file in one call; only when it
     fails is the text scanned line by line, to name the first bad line.
@@ -172,13 +187,10 @@ def _read_pairs(path) -> np.ndarray:
         # numpy opens a string path through np.lib._datasource, which would
         # fetch one that parses as a URL ('http://x.txt'); an absolute path
         # never does.  Given a path, its C reader pulls the file in blocks.
-        pairs = _parse_pairs(os.path.abspath(os.fsdecode(path)))
+        return _parse_ids(os.path.abspath(os.fsdecode(path)), per_line)
     except ValueError as exc:
-        _raise_first_bad_line(path)
+        _raise_first_bad_line(path, per_line)
         raise ValueError(f"{path}: {exc}") from None
-    if not len(pairs):
-        raise ValueError(f"{path}: no edges found")
-    return pairs
 
 
 @contextlib.contextmanager
@@ -218,22 +230,22 @@ def _file_has_comment_after_data(path) -> bool:
     return False
 
 
-def _parse_pairs(source: str) -> np.ndarray:
-    """The (E, 2) int64 labels of the edge lines; ValueError on any bad line."""
+def _parse_ids(source: str, per_line: int) -> np.ndarray:
+    """The (E, per_line) int64 labels of the data lines; ValueError on any bad line."""
     with warnings.catch_warnings():
-        # An input with only comments and blank lines is reported as "no edges".
+        # An input with only comments and blank lines is reported by the caller.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         # numpy releases that still have the 1.23 fallback read a token that
         # is not an integer ('1.5', '1e3', one outside int64) as a float,
         # cast it and only warn; as an error, loadtxt raises ValueError.
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        pairs = np.loadtxt(source, dtype=np.int64, ndmin=2, comments="#",
-                           encoding="utf-8")
-    if not pairs.size:
-        return pairs.reshape(0, 2)
-    if pairs.shape[1] != 2:
-        raise ValueError(f"{pairs.shape[1]} columns")
-    return pairs
+        ids = np.loadtxt(source, dtype=np.int64, ndmin=2, comments="#",
+                         encoding="utf-8")
+    if not ids.size:
+        return ids.reshape(0, per_line)
+    if ids.shape[1] != per_line:
+        raise ValueError(f"{ids.shape[1]} columns")
+    return ids
 
 
 def _comment_after_data(raw: bytes) -> bool:
@@ -255,7 +267,7 @@ def _comment_after_data(raw: bytes) -> bool:
     return False
 
 
-def _raise_first_bad_line(path) -> None:
+def _raise_first_bad_line(path, per_line: int) -> None:
     """Raise the ``path:lineno`` error for the first line breaking the grammar."""
     with _opened(path, "rt") as lines:
         for lineno, line in enumerate(lines, start=1):
@@ -264,9 +276,9 @@ def _raise_first_bad_line(path) -> None:
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
                 continue
-            if len(tokens) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected two vertex ids, got {len(tokens)} tokens")
+            if len(tokens) != per_line:
+                raise ValueError(f"{path}:{lineno}: expected {_EXPECTED_IDS[per_line]}, "
+                                 f"got {len(tokens)} tokens")
             if not all(_INT_TOKEN.fullmatch(t) for t in tokens):
                 raise ValueError(f"{path}:{lineno}: non-integer vertex id")
             if not all(_INT64_MIN <= int(t) <= _INT64_MAX for t in tokens):

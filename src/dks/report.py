@@ -116,22 +116,26 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
     """Run every solver at every k; returns sorted ExperimentRecords.
 
     ``k_values`` must be strictly ascending and within [1, n], with a
-    finite objective at the loading; unknown solver names are rejected up
-    front.  Each cell runs its solver's default config, so it equals a
-    standalone ``solve_with``; one eigensolve serves the bound and every
-    rank1 cell.  A failing solver yields a "failed" record and the sweep
+    finite objective at the loading; unknown or repeated solver names are
+    rejected up front.  Each cell runs its solver's default config, so it
+    equals a standalone ``solve_with``; one eigensolve serves the bound and
+    every rank1 cell.  A failing solver yields a "failed" record and the sweep
     continues.  Densities and iteration counts are reproducible; timings
     of course are not.
     """
-    ks = [int(k) for k in k_values]
-    if any(a >= b for a, b in zip(ks, ks[1:])):
-        raise ValueError("k values must be sorted strictly ascending")
+    ks, solvers = [int(k) for k in k_values], list(solver_names)
+    for a, b in zip(ks, ks[1:]):
+        if a >= b:
+            fault = f"k={a} repeated" if a == b else f"k={b} after k={a}"
+            raise ValueError(f"k values must be sorted strictly ascending: {fault}")
     for k in ks:
         check_k(k, 1, g.n)
         check_objective_fits(k, loading)
-    for name in solver_names:
+    for i, name in enumerate(solvers):
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
+        if name in solvers[:i]:
+            raise ValueError(f"solver {name!r} repeated")
 
     eig = top_two_singular_values(g)
     bounds = {k: (density_upper_bound(g, k, eig=eig) if k >= 2 else None)
@@ -153,7 +157,7 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
         except Exception as exc:  # noqa: BLE001 - sweep must survive a cell
             return ExperimentRecord(**ident, status=f"failed: {exc}")
 
-    cells = [(k, s) for k in ks for s in solver_names]
+    cells = [(k, s) for k in ks for s in solvers]
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(run_cell, cells))
@@ -179,24 +183,6 @@ def score_selection(g: Graph, vertex_labels, loading: float = 1.0,
         normalized_density=sel.normalized_density,
         objective=sel.objective_at_loading, iterations=0, wall_time_s=0.0,
         integral_before_projection=True, upper_bound=bound)
-
-
-def load_selection_file(path) -> list:
-    """Read one vertex id per line ('#' comments and blanks skipped)."""
-    labels = []
-    with open(path, "rt", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected one integer vertex id") from None
-    if not labels:
-        raise ValueError(f"{path}: no vertex ids found")
-    return labels
 
 
 def _cell_value(v):

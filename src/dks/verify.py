@@ -76,6 +76,13 @@ def random_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
             return Graph.from_edges(n, edges)
 
 
+def _gnp_pool(seed: int, max_n: int):
+    """The seeded generator and the 25 graphs it draws first, n in [5, max_n]."""
+    rng = np.random.default_rng(seed)
+    return rng, [random_gnp(int(rng.integers(5, max_n + 1)),
+                            float(rng.uniform(0.1, 0.7)), rng) for _ in range(25)]
+
+
 def small_graph_family(seed: int = 0, random_count: int = 50,
                        max_n: int = 12):
     """The canonical small-graph test family as (name, Graph) pairs.
@@ -142,9 +149,7 @@ def suite_motzkin(max_n: int = 12, seed: int = 0,
 def suite_rounding(seed: int = 0, trials: int = 10000,
                    max_n: int = 50) -> SuiteResult:
     """Objective never decreases under rounding; output integral feasible."""
-    rng = np.random.default_rng(seed)
-    pool = [random_gnp(int(rng.integers(5, max_n + 1)), float(rng.uniform(0.1, 0.7)), rng)
-            for _ in range(25)]
+    rng, pool = _gnp_pool(seed, max_n)
     checks = 0
     for trial in range(trials):
         g = pool[trial % len(pool)]
@@ -247,9 +252,7 @@ def suite_tightness(max_n: int = 10, seed: int = 0, random_count: int = 50,
 def suite_landscape(seed: int = 0, trials: int = 1000, loading: float = 1.5,
                     max_n: int = 50) -> SuiteResult:
     """One rounding step strictly increases the objective when loading > 1."""
-    rng = np.random.default_rng(seed)
-    pool = [random_gnp(int(rng.integers(5, max_n + 1)), float(rng.uniform(0.1, 0.7)), rng)
-            for _ in range(25)]
+    rng, pool = _gnp_pool(seed, max_n)
     checks = 0
     done = 0
     while done < trials:

@@ -485,6 +485,49 @@ def test_score_runs_each_step_once(graph_file, tmp_path, capsys, monkeypatch):
     assert sorted(calls) == ["density_upper_bound", "index_of", "induced_edge_count"]
 
 
+@pytest.mark.parametrize("line, message", [
+    (b"\xff1", "not UTF-8"),
+    (b"1_0", "non-integer vertex id"),
+    ("\u0663".encode(), "non-integer vertex id"),  # ARABIC-INDIC DIGIT THREE
+    (str(2**70).encode(), "vertex id outside the int64 range"),
+    (b"1 # note", "expected one vertex id, got 3 tokens"),
+], ids=["not-utf8", "underscore", "arabic-indic", "beyond-int64", "hash-after-data"])
+def test_score_names_the_bad_selection_line(graph_file, tmp_path, capsys, line, message):
+    # a selection is read by the edge-list grammar, one id per line
+    sel = tmp_path / "sel.txt"
+    sel.write_bytes(b"# chosen\n0\n" + line + b"\n2\n")
+    code, out, err = run_cli(capsys, ["score", "--graph", graph_file,
+                                      "--selection", str(sel)])
+    assert code == 3 and out == ""
+    assert err == f"dks: cannot load selection: {sel}:3: {message}\n"
+
+
+def test_score_reads_a_gzipped_selection(graph_file, tmp_path, capsys):
+    plain, packed = tmp_path / "sel.txt", tmp_path / "sel.txt.gz"
+    plain.write_text("# chosen\n2\n0\n1\n")
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    outputs = []
+    for sel in (plain, packed):
+        code, out, _ = run_cli(capsys, ["score", "--graph", graph_file,
+                                        "--selection", str(sel), "--output", "json"])
+        assert code == 0
+        outputs.append({**loads(out), "selection": None})
+    assert outputs[0] == outputs[1] and outputs[0]["induced_edges"] == 3
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k-list", "3,2,3", "k=3 repeated"),
+    ("--solvers", "greedy,fw,greedy", "solver 'greedy' repeated"),
+], ids=["k-list", "solvers"])
+def test_sweep_names_a_repeated_value(graph_file, tmp_path, capsys, flag, value, message):
+    argv = ["sweep", "--graph", graph_file, "--k-list", "2,3", "--solvers", "greedy",
+            "--out", str(tmp_path / "r.csv")]
+    argv[argv.index(flag) + 1] = value
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2 and message in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # The exit-code contract, one row per (subcommand, numeric flag or DKS_JOBS,
 # value) and per (subcommand, file fault).  Each subcommand's base arguments
 # are valid, so a row's exit code is its own flag's or file's.
@@ -511,7 +554,7 @@ _NUMERIC_FLAGS = [
     ("score", "--lambda", True, ("zero",)),
 ]
 # (file fault, file name, as a graph, as a selection); None is a missing
-# file.  A selection is read as plain text, so a compressed one is garbage.
+# file.  A selection is read by the edge-list reader, compressed ones too.
 _FILE_FAULTS = [
     ("missing", "missing.txt", None, None),
     ("empty", "empty.txt", b"", b""),
@@ -537,7 +580,9 @@ _CONTRACT_ROWS = [
                           ("score", "--graph"), ("score", "--selection")]
     for fault, name, as_graph, as_selection in _FILE_FAULTS
 ] + [pytest.param("sweep", "--out", ("missing-dir/r.csv", None), 3,
-                  id="sweep---out-unwritable")]
+                  id="sweep---out-unwritable"),
+      pytest.param("sweep", "--k-list", "2,2", 2, id="sweep---k-list-repeated"),
+      pytest.param("sweep", "--solvers", "fw,fw", 2, id="sweep---solvers-repeated")]
 
 
 @pytest.mark.parametrize("command, flag, value, code", _CONTRACT_ROWS)

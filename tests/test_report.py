@@ -7,9 +7,9 @@ import pytest
 
 from dks import Graph
 from dks.report import (SOLVER_NAMES, ExperimentRecord, format_float,
-                        load_selection_file, read_report, run_sweep,
-                        score_selection, solve_with, write_report)
-from dks.graph import ProblemInstance
+                        read_report, run_sweep, score_selection, solve_with,
+                        write_report)
+from dks.graph import ProblemInstance, load_selection_file
 
 from conftest import random_graph
 
@@ -180,7 +180,7 @@ def test_load_selection_file(tmp_path):
     assert load_selection_file(path) == [10, 20, 30]
     bad = tmp_path / "bad.txt"
     bad.write_text("10\npotato\n")
-    with pytest.raises(ValueError, match="expected one integer"):
+    with pytest.raises(ValueError, match="bad.txt:2: non-integer vertex id"):
         load_selection_file(bad)
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
