@@ -63,43 +63,34 @@ def density_upper_bound(g: Graph, k: int, eig=None) -> float:
     values of k.  Without it the bound solves at the default settings of
     ``top_two_singular_values``, the certificate's.
 
-    The iterative eigenvalue estimates converge from below, so plugging
-    them in verbatim could undercut the true bound by an ulp and break
-    the >= guarantee exactly when the bound is tight (e.g. a single
-    edge, k=2, where sigma1/(k-1) and the true density are both 1).  Two
-    corrections make the evaluation one-sided:
-
-    * Residual shift: for a symmetric matrix the leading eigenvalue lies
-      within ||A u - theta u|| of the Rayleigh quotient once the
-      iteration has locked onto the Perron direction, so theta +
-      residual over-estimates theta1.  The sigma2 term gets the same
-      allowance to absorb the error the approximate deflation
-      introduces.
-    * Rounding guard: the Rayleigh dot product itself carries a forward
-      rounding error of order (n + maxdeg) * eps * theta that the
-      residual cannot see (the computed u can be an exact eigenvector
-      while fl(u'Au) still rounds below the true eigenvalue), so every
-      eigenvalue-derived term is inflated by that standard relative
-      error bound.
-
-    Both corrections assume the eigen-iterations converged.  When either
-    did not, ``top_two_singular_values`` reports sigma2 = inf and the bound
-    falls back to min(1, maxdeg/(k-1)), which holds because sigma1 never
-    exceeds the maximum degree.
+    * sigma1 term: for nonnegative A and any vector u > 0, the
+      Collatz-Wielandt inequality gives theta1 <= max_i (A u)_i / u_i, so
+      the ratio at u1 bounds theta1 whether or not the iteration
+      converged.  An entry of u1 that is not positive (underflow on a
+      disconnected graph) reads as +inf, and the maximum degree, which
+      theta1 never exceeds, caps the term.
+    * sigma2 allowance: the sigma2 term adds 4 * ||A u - theta u|| to
+      absorb the error the approximate deflation introduces.  An
+      unconverged sigma2 is reported as inf, which drops the term from
+      the minimum.
+    * Rounding guard: every eigenvalue-derived term is inflated by
+      1 + (n + maxdeg + 16) * eps, the standard relative error bound of
+      its dot products and of the row sums (A u)_i of at most maxdeg
+      terms, so the bound stays >= the true value where it is tight
+      (e.g. a single edge, k=2, where sigma1/(k-1) and the true density
+      are both 1).
     """
     check_k(k, 2, g.n)
     if eig is None:
         eig = top_two_singular_values(g)
     _, u1, sigma2 = eig
-    maxdeg = float(g.degrees.max()) if g.n else 0.0
+    maxdeg = float(g.degrees.max())
     guard = 1.0 + (g.n + maxdeg + 16.0) * np.finfo(np.float64).eps
-    if not np.isfinite(sigma2):
-        return float(min(1.0, maxdeg / (k - 1) * guard))
     au = g.matrix.dot(u1)
+    ratios = np.divide(au, u1, out=np.full(g.n, np.inf), where=u1 > 0)
+    sigma1_cert = min(maxdeg, float(ratios.max())) * guard
     theta = float(u1 @ au)
     residual = float(np.linalg.norm(au - theta * u1))
-    theta_cert = (theta + residual) * guard
-    sigma1_cert = max(theta_cert, 0.0)
     sigma2_cert = (sigma2 + 4.0 * residual) * guard
     sel = top_k_indices(u1, k)
     surrogate = sigma1_cert * float(u1[sel].sum()) ** 2 / (k * (k - 1))

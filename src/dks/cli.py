@@ -99,7 +99,7 @@ def _load(reader, path: str, what: str):
     """``reader(path)``, or exit 3 with ``dks: cannot load <what>: ...``."""
     try:
         return reader(path)
-    except (OSError, ValueError, EOFError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(_refuse(EXIT_IO, f"cannot load {what}: {exc}")) from exc
 
 

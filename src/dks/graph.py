@@ -197,14 +197,16 @@ def _read_ids(path, per_line: int) -> np.ndarray:
 def _opened(path, mode: str):
     """The file, decompressed by suffix, open in ``mode``: "rb", or "rt" for
     UTF-8 text whose lines end at LF, CR LF or a lone CR, and in which a byte
-    that is not UTF-8 reads as a lone surrogate.  A corrupt stream raises
-    OSError (EOFError if it is cut short)."""
+    that is not UTF-8 reads as a lone surrogate.  A corrupt or truncated
+    stream raises OSError naming the path."""
     opener = _OPENERS.get(os.path.splitext(os.fsdecode(path))[1], open)
     text = {"encoding": "utf-8", "errors": "surrogateescape"} if mode == "rt" else {}
     try:
         with opener(path, mode, **text) as fh:
             yield fh
-    except (lzma.LZMAError, zlib.error) as exc:  # the rest of gzip and bz2 raise OSError
+    except (OSError, lzma.LZMAError, zlib.error, EOFError) as exc:
+        if getattr(exc, "errno", None) is not None:  # a file-system error names the path
+            raise
         raise OSError(f"{path}: {exc}") from None
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dks import Graph, density_upper_bound, greedy_feige, rank1_lrbo
-from dks.linalg import CERT_MAX_ITERS, CERT_TOL, top_two_singular_values
-from dks.oracle import exact_dks
+from dks.linalg import (CERT_MAX_ITERS, CERT_TOL, leading_eigenpair,
+                        top_two_singular_values)
+from dks.oracle import dense_eig, exact_dks
+from dks.verify import small_graph_family
 
 from conftest import random_graph
 
@@ -127,6 +129,33 @@ def test_bound_sound_when_eigensolves_stop_unconverged(rest, max_iters):
     g = Graph.from_edges(other[-1][1] + 1, k4 + other)
     eig = top_two_singular_values(g, tol=CERT_TOL, max_iters=max_iters)
     assert density_upper_bound(g, 4, eig=eig) >= 1.0
+
+
+def test_bound_keeps_sigma1_when_only_sigma2_is_unconverged():
+    # the star K_{1,100}: theta1 = 10, far below the hub's degree 100
+    g = Graph.from_edges(101, [(0, leaf) for leaf in range(1, 101)])
+    lead = leading_eigenpair(g)
+    assert lead.converged
+    bound = density_upper_bound(g, 30, eig=(lead.value, lead.vector, np.inf))
+    assert 10 / 29 <= bound <= 10 / 29 * (1 + 1e-10)
+
+
+def test_bound_sigma1_term_sound_from_any_positive_vector():
+    # Collatz-Wielandt: max_i (Au)_i / u_i >= theta1 for every u > 0, so the
+    # sigma1 term needs no eigenvector; sigma2 = inf leaves it alone
+    rng = np.random.default_rng(43)
+    checks = 0
+    for _, g in small_graph_family(seed=0, random_count=50):
+        theta1 = dense_eig(g)[0][0]
+        u = rng.uniform(0.1, 1.0, g.n)
+        for k in range(2, g.n + 1):
+            density = exact_dks(g, k, 1.0)[1].normalized_density
+            for vector in (u, g.matrix.dot(u) + u):  # and one power step on A + I
+                bound = density_upper_bound(g, k, eig=(0.0, vector, np.inf))
+                assert bound >= density
+                assert bound >= min(1.0, theta1 / (k - 1))
+                checks += 1
+    assert checks > 2000
 
 
 def test_bound_k_validation(triangle):

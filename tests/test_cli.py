@@ -1,7 +1,9 @@
 """The dks command line, driven in-process through main(argv)."""
 
+import bz2
 import gzip
 import json
+import lzma
 import os
 import sys
 
@@ -513,6 +515,30 @@ def test_score_reads_a_gzipped_selection(graph_file, tmp_path, capsys):
         assert code == 0
         outputs.append({**loads(out), "selection": None})
     assert outputs[0] == outputs[1] and outputs[0]["induced_edges"] == 3
+
+
+_CUT_SHORT = "Compressed file ended before the end-of-stream marker was reached"
+
+
+@pytest.mark.parametrize("name, pack, message", [
+    ("cut.txt.gz", lambda raw: gzip.compress(raw)[:-12], _CUT_SHORT),
+    ("cut.txt.bz2", lambda raw: bz2.compress(raw)[:-12], _CUT_SHORT),
+    ("cut.txt.xz", lambda raw: lzma.compress(raw)[:-12], _CUT_SHORT),
+    ("zip.txt.gz", lambda raw: b"PK" + raw, "Not a gzipped file (b'PK')"),
+    ("zip.txt.bz2", lambda raw: b"PK" + raw, "Invalid data stream"),
+], ids=["truncated-gz", "truncated-bz2", "truncated-xz", "not-gz", "not-bz2"])
+@pytest.mark.parametrize("flag", ["--graph", "--selection"])
+def test_load_names_a_bad_compressed_file(graph_file, tmp_path, capsys,
+                                          flag, name, pack, message):
+    sel, bad = tmp_path / "sel.txt", tmp_path / name
+    sel.write_text("0\n1\n2\n")
+    bad.write_bytes(pack(b"0 1\n1 2\n0 2\n" if flag == "--graph" else b"0\n1\n2\n"))
+    files = {"--graph": graph_file, "--selection": str(sel), flag: str(bad)}
+    code, out, err = run_cli(capsys, ["score", "--graph", files["--graph"],
+                                      "--selection", files["--selection"]])
+    what = flag.lstrip("-")
+    assert code == 3 and out == ""
+    assert err == f"dks: cannot load {what}: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("flag, value, message", [
