@@ -28,7 +28,7 @@ def main():
     g = random_gnp(200, 0.06, rng)
     records = run_sweep(g, 1.0, [5, 10, 20, 40],
                         ["fw", "param", "greedy", "rank1"],
-                        dataset="gnp200", jobs=2)
+                        dataset="gnp200")
 
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="dks-sweep-")
     os.makedirs(out_dir, exist_ok=True)

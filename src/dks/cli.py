@@ -67,10 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--solvers", required=True,
                        help=f"comma-separated subset of {','.join(SOLVER_NAMES)}")
     sweep.add_argument("--out", required=True, help="report file to write")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="report format (default: json for a .json --out, else csv)")
     sweep.add_argument("--lambda", dest="loading", type=float, default=1.0)
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep cells (default: $DKS_JOBS or CPU count)")
 
     verify = sub.add_parser("verify", help="run the theory property suites")
     verify.add_argument("--max-n", type=int, default=8,
@@ -134,12 +133,10 @@ def _print_payload(payload: dict, output: str) -> None:
 
 def cmd_solve(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
-    if not 1 <= args.k <= g.n:
-        return _refuse(EXIT_BAD_FLAGS, f"--k must be in [1, {g.n}], got {args.k}")
-    inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
     # both configs are built, so a bad value is refused whichever solver runs
     iters = {} if args.max_iters is None else {"max_iters": args.max_iters}
     try:
+        inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
         check_objective_fits(args.k, args.loading)
         fw_cfg = FwConfig(step_rule=args.step_rule, gap_tol=args.gap_tol, **iters)
         opt_cfg = OptimizerConfig(learning_rate=args.lr, **iters)
@@ -170,18 +167,9 @@ def cmd_sweep(args) -> int:
     solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
     if not ks or not solvers:
         return _refuse(EXIT_BAD_FLAGS, "--k-list and --solvers must be nonempty")
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("DKS_JOBS", "")
-        try:
-            jobs = int(env) if env else os.cpu_count() or 1
-        except ValueError:
-            return _refuse(EXIT_BAD_FLAGS, f"DKS_JOBS must be an integer, got {env!r}")
-    if jobs < 1:
-        return _refuse(EXIT_BAD_FLAGS, f"--jobs (or DKS_JOBS) must be >= 1, got {jobs}")
     try:
         records = run_sweep(g, args.loading, ks, solvers,
-                            dataset=os.path.basename(args.graph), jobs=jobs)
+                            dataset=os.path.basename(args.graph))
     except ValueError as exc:
         # run_sweep checks its k values and solver names before any work
         return _refuse(EXIT_BAD_FLAGS, str(exc))

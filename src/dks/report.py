@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -112,8 +111,8 @@ def solve_with(name: str, inst: ProblemInstance, fw_cfg: FwConfig = None,
 
 
 def run_sweep(g: Graph, loading: float, k_values, solver_names,
-              dataset: str = "graph", jobs: int = 1):
-    """Run every solver at every k; returns sorted ExperimentRecords.
+              dataset: str = "graph"):
+    """Run every solver at every k; records come in (solver, k) order.
 
     ``k_values`` must be strictly ascending and within [1, n], with a
     finite objective at the loading; unknown or repeated solver names are
@@ -140,30 +139,22 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
     eig = top_two_singular_values(g)
     bounds = {k: (density_upper_bound(g, k, eig=eig) if k >= 2 else None)
               for k in ks}
-
-    def run_cell(cell):
-        k, solver = cell
-        inst = ProblemInstance(graph=g, k=k, loading=loading)
-        ident = dict(dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,
-                     solver=solver, upper_bound=bounds[k])
-        try:
-            rep = solve_with(solver, inst, eig=eig)
-            sel = rep.selection
-            return ExperimentRecord(
-                **ident, normalized_density=sel.normalized_density,
-                objective=sel.objective_at_loading, iterations=rep.iterations,
-                wall_time_s=rep.wall_time_s,
-                integral_before_projection=rep.integral)
-        except Exception as exc:  # noqa: BLE001 - sweep must survive a cell
-            return ExperimentRecord(**ident, status=f"failed: {exc}")
-
-    cells = [(k, s) for k in ks for s in solvers]
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_cell, cells))
-    else:
-        records = [run_cell(c) for c in cells]
-    records.sort(key=lambda r: (r.dataset, r.solver, r.k))
+    records = []
+    for solver in sorted(solvers):
+        for k in ks:
+            inst = ProblemInstance(graph=g, k=k, loading=loading)
+            ident = dict(dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,
+                         solver=solver, upper_bound=bounds[k])
+            try:
+                rep = solve_with(solver, inst, eig=eig)
+                sel = rep.selection
+                records.append(ExperimentRecord(
+                    **ident, normalized_density=sel.normalized_density,
+                    objective=sel.objective_at_loading, iterations=rep.iterations,
+                    wall_time_s=rep.wall_time_s,
+                    integral_before_projection=rep.integral))
+            except Exception as exc:  # noqa: BLE001 - sweep must survive a cell
+                records.append(ExperimentRecord(**ident, status=f"failed: {exc}"))
     return records
 
 

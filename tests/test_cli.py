@@ -13,7 +13,7 @@ import dks.baselines
 import dks.graph
 from dks import Graph
 from dks.cli import main
-from dks.report import format_float
+from dks.report import format_float, read_report
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ def test_solve_each_solver(graph_file, capsys):
 def test_solve_bad_k(graph_file, capsys):
     code, _, err = run_cli(capsys, ["solve", "--graph", graph_file, "--k", "9"])
     assert code == 2
-    assert "--k must be in" in err
+    assert err == "dks: k=9 outside [1, 6]\n"
 
 
 def test_solve_negative_loading(graph_file, capsys):
@@ -160,6 +160,18 @@ def test_sweep_writes_csv_and_json(graph_file, tmp_path, capsys):
     assert all(rec["normalized_density"] == 1.0 for rec in payload)
 
 
+def test_sweep_format_follows_out_suffix(graph_file, tmp_path, capsys):
+    # no --format: a .json --out is written as JSON, as write_report infers
+    out_json = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, [
+        "sweep", "--graph", graph_file, "--k-list", "2,3",
+        "--solvers", "fw,greedy", "--out", str(out_json)])
+    assert code == 0
+    records = read_report(out_json)
+    assert [(r.solver, r.k) for r in records] == [
+        ("fw", 2), ("fw", 3), ("greedy", 2), ("greedy", 3)]
+
+
 def test_sweep_deterministic_modulo_timing(graph_file, tmp_path, capsys):
     outs = []
     for name in ("a.json", "b.json"):
@@ -195,15 +207,6 @@ def test_sweep_unwritable_output(graph_file, tmp_path, capsys):
         "--out", str(tmp_path / "missing-dir" / "r.csv")])
     assert code == 3
     assert "cannot write report" in err
-
-
-def test_sweep_jobs_env(graph_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DKS_JOBS", "2")
-    code, out, _ = run_cli(capsys, [
-        "sweep", "--graph", graph_file, "--k-list", "2,3",
-        "--solvers", "greedy", "--out", str(tmp_path / "r.csv")])
-    assert code == 0
-    assert "wrote 2 records" in out
 
 
 @pytest.mark.parametrize("flags", [
@@ -266,23 +269,6 @@ def test_lambda_at_the_objective_overflow(graph_file, tmp_path, capsys,
         payload = loads(out.read_text() if command == "sweep" else stdout)
         records = payload if command == "sweep" else [payload]
         assert records and all(rec["objective"] >= rec["k"] * 1e300 for rec in records)
-
-
-@pytest.mark.parametrize("flags, env", [
-    (["--jobs", "0"], None),
-    (["--jobs", "-3"], None),
-    ([], "abc"),
-    ([], "0"),
-])
-def test_sweep_bad_jobs_exit_2(graph_file, tmp_path, capsys, monkeypatch,
-                               flags, env):
-    if env is not None:
-        monkeypatch.setenv("DKS_JOBS", env)
-    code, _, err = run_cli(capsys, [
-        "sweep", "--graph", graph_file, "--k-list", "2", "--solvers", "greedy",
-        "--out", str(tmp_path / "r.csv"), *flags])
-    assert code == 2
-    assert err.startswith("dks: ")
 
 
 def test_verify_with_zero_checks_exits_1(capsys):
@@ -554,9 +540,9 @@ def test_sweep_names_a_repeated_value(graph_file, tmp_path, capsys, flag, value,
     assert not (tmp_path / "r.csv").exists()
 
 
-# The exit-code contract, one row per (subcommand, numeric flag or DKS_JOBS,
-# value) and per (subcommand, file fault).  Each subcommand's base arguments
-# are valid, so a row's exit code is its own flag's or file's.
+# The exit-code contract, one row per (subcommand, numeric flag, value) and
+# per (subcommand, file fault).  Each subcommand's base arguments are valid,
+# so a row's exit code is its own flag's or file's.
 _BASE_ARGV = {"solve": ["--graph", "--k", "2"],
               "sweep": ["--graph", "--k-list", "2,3", "--solvers", "greedy", "--out"],
               "verify": ["--suite", "rounding", "--max-n", "4"],
@@ -573,8 +559,6 @@ _NUMERIC_FLAGS = [
     ("solve", "--lr", True, ("huge",)),
     ("sweep", "--k-list", False, ()),
     ("sweep", "--lambda", True, ("zero",)),
-    ("sweep", "--jobs", False, ("huge",)),
-    ("sweep", "DKS_JOBS", False, ("huge",)),
     ("verify", "--max-n", False, ("huge",)),
     ("verify", "--seed", False, ("zero", "huge")),
     ("score", "--lambda", True, ("zero",)),
@@ -612,12 +596,10 @@ _CONTRACT_ROWS = [
 
 
 @pytest.mark.parametrize("command, flag, value, code", _CONTRACT_ROWS)
-def test_cli_contract(graph_file, tmp_path, capsys, monkeypatch,
-                      command, flag, value, code):
+def test_cli_contract(graph_file, tmp_path, capsys, command, flag, value, code):
     sel, out = tmp_path / "sel.txt", tmp_path / "r.csv"
     sel.write_text("0\n1\n2\n")
     files = {"--graph": graph_file, "--selection": str(sel), "--out": str(out)}
-    monkeypatch.setenv("DKS_JOBS", "1")
     if isinstance(value, tuple):
         name, content = value
         files[flag] = str(tmp_path / name)
@@ -626,9 +608,7 @@ def test_cli_contract(graph_file, tmp_path, capsys, monkeypatch,
     argv = [command]
     for arg in _BASE_ARGV[command]:
         argv += [arg, files[arg]] if arg in files else [arg]
-    if flag == "DKS_JOBS":
-        monkeypatch.setenv("DKS_JOBS", value)
-    elif not isinstance(value, tuple):
+    if not isinstance(value, tuple):
         if flag in argv:  # a base argument: replace its value
             argv[argv.index(flag) + 1] = value
         else:
