@@ -12,6 +12,7 @@ package provides:
 - a Frank-Wolfe solver whose linear step is a top-k selection (``fw``),
 - a sigmoid-parameterized unconstrained ascent solver with an in-repo
   Adam optimizer (``param``),
+- the polytope's feasible points, projection and top-k vertex map (``points``),
 - monotone rounding and the top-k projection (``rounding``),
 - greedy and rank-1 eigenvector baselines plus a spectral density upper
   bound (``baselines``),
@@ -32,12 +33,11 @@ from .oracle import (dense_eig, exact_dks, max_clique, maximal_cliques,
 from .param import (OptimizerConfig, param_objective_and_gradient, param_solve,
                     theta_to_x)
 from .points import (is_feasible, project_capped_simplex, random_feasible_point,
-                     uniform_point)
+                     top_k_indices, uniform_point)
 from .report import (ExperimentRecord, read_report, run_sweep, score_selection,
                      solve_with, write_report)
 from .rounding import (VertexSelection, make_selection, project_top_k,
                        round_to_integral, rounding_step)
-from .topk import top_k_indices
 from .verify import (SuiteResult, small_graph_family, suite_landscape,
                      suite_motzkin, suite_rounding, suite_tightness)
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .graph import Graph, check_k
 from .linalg import leading_eigenpair, top_two_singular_values
+from .points import indicator, top_k_indices
 from .rounding import VertexSelection, make_selection
-from .topk import indicator, top_k_indices
 
 
 def greedy_feige(g: Graph, k: int, loading: float = 1.0) -> VertexSelection:

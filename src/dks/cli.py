@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "search; option1/option2 are the paper's rules)")
     solve.add_argument("--max-iters", type=int, default=None,
                        help="iteration budget (default: 1000 fw / 200 param)")
-    solve.add_argument("--gap-tol", type=float, default=None,
-                       help="absolute FW gap tolerance (default: adaptive)")
     solve.add_argument("--lr", type=float, default=3.0,
                        help="learning rate for the param solver")
     solve.add_argument("--output", choices=("text", "json"), default="text")
@@ -138,12 +136,14 @@ def cmd_solve(args) -> int:
     try:
         inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
         check_objective_fits(args.k, args.loading)
-        fw_cfg = FwConfig(step_rule=args.step_rule, gap_tol=args.gap_tol, **iters)
+        fw_cfg = FwConfig(step_rule=args.step_rule, **iters)
         opt_cfg = OptimizerConfig(learning_rate=args.lr, **iters)
     except ValueError as exc:
         return _refuse(EXIT_BAD_FLAGS, str(exc))
     try:
         rep = solve_with(args.solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg)
+    except ValueError as exc:  # a solver's own input check, e.g. greedy's k >= 2
+        return _refuse(EXIT_BAD_FLAGS, str(exc))
     except Exception as exc:  # noqa: BLE001 - reported as solver failure
         return _refuse(EXIT_SOLVER, f"solver failed: {exc}")
     sel = rep.selection

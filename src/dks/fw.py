@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .graph import ProblemInstance, induced_edge_count
 from .linalg import loaded_matvec, spectral_norm
-from .points import is_feasible, project_capped_simplex, uniform_point
+from .points import (indicator, is_feasible, project_capped_simplex,
+                     top_k_indices, uniform_point)
 from .rounding import SNAP_TOL, VertexSelection, project_top_k
-from .topk import indicator, top_k_indices
 
 STEP_RULES = ("exact", "option1", "option2")
 
@@ -48,22 +47,17 @@ class FwConfig:
     ``step_rule`` is one of STEP_RULES.  The default "exact" line search
     reads no Lipschitz constant; "option1" and "option2" are the paper's
     rules and need ||A + loading*I||_2, which costs each ``fw_solve`` one
-    power iteration.  ``gap_tol=None`` uses the adaptive
-    default 1e-8 * (1 + |objective|); an explicit value is treated as an
-    absolute gap threshold.
+    power iteration.  ``max_iters`` is the step budget.
     """
 
     step_rule: str = "exact"
     max_iters: int = 1000
-    gap_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"step_rule must be one of {STEP_RULES}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.gap_tol is not None and not 0 <= self.gap_tol < np.inf:
-            raise ValueError("gap_tol must be finite and nonnegative")
 
 
 @dataclass
@@ -127,11 +121,11 @@ def exact_step(gap: float, curv: float) -> float:
 def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None) -> SolveReport:
     """Run Frank-Wolfe from x0 (default: the uniform point k/n).
 
-    Stops when the Frank-Wolfe gap grad.(s - x) falls below the tolerance
-    (a first-order stationarity certificate; a vertex whose top-k map
-    returns itself stops immediately) or when the iteration budget runs
-    out.  The reported selection is always the top-k projection of the
-    final point, whether or not that point is integral.  The "option1"
+    Stops when the Frank-Wolfe gap grad.(s - x) is at most
+    1e-8 * (1 + |objective|), a first-order stationarity certificate (a
+    vertex whose top-k map returns itself stops at once), or when the
+    iteration budget runs out.  The reported selection is always the
+    top-k projection of the final point, integral or not.  The "option1"
     and "option2" rules read L = ||A + loading*I||_2 = theta1 + loading
     from ``spectral_norm``; the "exact" rule reads no L and runs no
     eigensolve.  An iterate outside the polytope raises SolverError.
@@ -164,8 +158,7 @@ def fw_solve(inst: ProblemInstance, cfg: FwConfig = None, x0=None) -> SolveRepor
         if gap < -1e-9 * (1.0 + abs(val)):
             raise SolverError(f"negative FW gap {gap}: top-k LMP is inconsistent")
         gap = max(gap, 0.0)
-        tol_t = cfg.gap_tol if cfg.gap_tol is not None else 1e-8 * (1.0 + abs(val))
-        if gap <= tol_t:
+        if gap <= 1e-8 * (1.0 + abs(val)):
             converged = True
             break
         if t == cfg.max_iters:

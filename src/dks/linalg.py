@@ -22,6 +22,9 @@ from .graph import Graph, check_loading
 # agree bit for bit, so the triple is a pure cache.
 CERT_TOL = 1e-12
 CERT_MAX_ITERS = 20000
+# The option1/option2 step rules' settings: enough for a step size.
+STEP_TOL = 1e-6
+STEP_MAX_ITERS = 1000
 
 
 def loaded_matvec(g: Graph, loading: float, x: np.ndarray) -> np.ndarray:
@@ -98,17 +101,16 @@ def leading_eigenpair(g: Graph, tol: float = CERT_TOL,
     return PowerResult(value=theta, vector=x, converged=converged)
 
 
-def spectral_norm(g: Graph, loading: float, tol: float = 1e-6,
-                  max_iters: int = 1000) -> PowerResult:
-    """||A + loading*I||_2 = theta1 + loading, from ``leading_eigenpair``.
+def spectral_norm(g: Graph, loading: float) -> PowerResult:
+    """||A + loading*I||_2 = theta1 + loading, from ``leading_eigenpair``
+    at the step rules' settings ``STEP_TOL`` and ``STEP_MAX_ITERS``.
 
     The identity holds for loading >= 0, where the matrix is entrywise
     nonnegative, even on a bipartite graph (where -theta1 is also an
-    eigenvalue of A).  ``tol`` is the eigen-residual tolerance; the
-    defaults are looser than the certificate's, enough for a step size.
+    eigenvalue of A).
     """
     check_loading(loading)
-    lead = leading_eigenpair(g, tol=tol, max_iters=max_iters)
+    lead = leading_eigenpair(g, tol=STEP_TOL, max_iters=STEP_MAX_ITERS)
     return PowerResult(value=lead.value + loading, vector=lead.vector,
                        converged=lead.converged)
 

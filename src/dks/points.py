@@ -1,4 +1,5 @@
-"""Feasible points of the box-and-sum polytope {x in [0,1]^n : sum x = k}."""
+"""The box-and-sum polytope {x in [0,1]^n : sum x = k}: its feasible points,
+the Euclidean projection onto it, and its top-k vertex map."""
 
 from __future__ import annotations
 
@@ -53,3 +54,34 @@ def project_capped_simplex(u, k: int) -> np.ndarray:
 def random_feasible_point(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """A random interior-ish feasible point: project uniform noise onto the set."""
     return project_capped_simplex(rng.random(n) * 2.0, k)
+
+
+def top_k_indices(values, k: int) -> np.ndarray:
+    """Indices of the k largest entries of ``values``, ties to lowest index.
+
+    Returns a sorted int64 array.  The selection is exact: every returned
+    index has a value strictly above the k-th largest, or equal to it and
+    among the lowest-indexed entries at that value.  The threshold comes
+    from a values-only partition: where most entries tie, as in an FW
+    gradient at an integral point, an argpartition is many times slower.
+    The cost is O(n) plus the sort of the k winners.
+    """
+    v = np.asarray(values)
+    n = v.shape[0]
+    check_k(k, 0, n)
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    if k == n:
+        return np.arange(n, dtype=np.int64)
+    threshold = np.partition(v, n - k)[n - k]
+    above = np.flatnonzero(v > threshold)
+    need = k - len(above)
+    at = np.flatnonzero(v == threshold)[:need]
+    return np.sort(np.concatenate([above, at])).astype(np.int64)
+
+
+def indicator(indices, n: int) -> np.ndarray:
+    """0/1 float vector of length n with ones at ``indices``."""
+    x = np.zeros(n, dtype=np.float64)
+    x[np.asarray(indices, dtype=np.int64)] = 1.0
+    return x

@@ -22,8 +22,8 @@ from .fw import FwConfig, SolveReport, finish_report, fw_solve
 from .graph import Graph, ProblemInstance, check_k, check_objective_fits
 from .linalg import top_two_singular_values
 from .param import OptimizerConfig, param_solve
+from .points import indicator
 from .rounding import make_selection
-from .topk import indicator
 
 SOLVER_NAMES = ("fw", "param", "greedy", "rank1")
 

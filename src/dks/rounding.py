@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, ProblemInstance, check_loading, induced_edge_count
-from .points import is_feasible
-from .topk import top_k_indices
+from .points import is_feasible, top_k_indices
 
 # Coordinates closer than this to 0 or 1 count as integral and are snapped.
 SNAP_TOL = 1e-9

@@ -82,6 +82,10 @@ def test_solve_bad_k(graph_file, capsys):
     code, _, err = run_cli(capsys, ["solve", "--graph", graph_file, "--k", "9"])
     assert code == 2
     assert err == "dks: k=9 outside [1, 6]\n"
+    # greedy's own k >= 2 is a bad parameter combination, not a solver failure
+    code, out, err = run_cli(capsys, [
+        "solve", "--graph", graph_file, "--k", "1", "--solver", "greedy"])
+    assert (code, out, err) == (2, "", "dks: k=1 outside [2, 6]\n")
 
 
 def test_solve_negative_loading(graph_file, capsys):
@@ -213,13 +217,13 @@ def test_sweep_unwritable_output(graph_file, tmp_path, capsys):
     ["--max-iters", "-5"],
     ["--max-iters", "0"],
     ["--max-iters", "0", "--solver", "param"],
-    ["--gap-tol", "-1"],
-    ["--gap-tol", "nan"],
+    ["--gap-tol", "1"],  # an unknown flag
     ["--lr", "0"],
     ["--lr", "nan", "--solver", "param"],
     ["--lambda", "nan"],
     ["--lambda", "inf"],
     ["--lambda", "1e308"],
+    ["--k", "1", "--solver", "greedy"],  # greedy's own k >= 2
 ])
 def test_solve_bad_values_exit_2(graph_file, capsys, flags):
     code, _, err = run_cli(capsys, [
@@ -555,7 +559,6 @@ _NUMERIC_FLAGS = [
     ("solve", "--k", False, ()),
     ("solve", "--lambda", True, ("zero",)),
     ("solve", "--max-iters", False, ("huge",)),
-    ("solve", "--gap-tol", True, ("zero", "huge")),
     ("solve", "--lr", True, ("huge",)),
     ("sweep", "--k-list", False, ()),
     ("sweep", "--lambda", True, ("zero",)),

@@ -7,7 +7,7 @@ import pytest
 
 from dks import (Graph, leading_eigenpair, loaded_matvec, quadratic_form,
                  spectral_norm, top_two_singular_values)
-from dks.linalg import CERT_MAX_ITERS, CERT_TOL
+from dks.linalg import CERT_MAX_ITERS, CERT_TOL, STEP_MAX_ITERS, STEP_TOL
 from dks.oracle import dense_eig
 
 from conftest import random_graph
@@ -63,9 +63,9 @@ def test_quadratic_form_matches_dense():
 
 
 def test_spectral_norm_known_values(triangle, star5, edgeless4):
-    assert spectral_norm(triangle, 1.0, tol=1e-10).value == pytest.approx(3.0, abs=1e-8)
+    assert spectral_norm(triangle, 1.0).value == pytest.approx(3.0, abs=1e-8)
     # K_{1,4} adjacency has eigenvalues +/-2: bipartite case at loading 0
-    assert spectral_norm(star5, 0.0, tol=1e-10).value == pytest.approx(2.0, abs=1e-8)
+    assert spectral_norm(star5, 0.0).value == pytest.approx(2.0, abs=1e-8)
     assert spectral_norm(edgeless4, 0.0).value == 0.0
     assert spectral_norm(edgeless4, 2.0).value == pytest.approx(2.0, abs=1e-8)
 
@@ -83,7 +83,7 @@ def test_spectral_norm_matches_dense():
         lam = float(rng.uniform(0.0, 2.0))
         w, _ = np.linalg.eigh(g.matrix.toarray() + lam * np.eye(g.n))
         want = float(np.abs(w).max())
-        got = spectral_norm(g, lam, tol=1e-12, max_iters=20000).value
+        got = leading_eigenpair(g, tol=1e-12, max_iters=20000).value + lam
         assert got == pytest.approx(want, abs=1e-8)
         assert got <= want + 1e-12  # norm-growth never overshoots
 
@@ -140,14 +140,14 @@ def test_top_two_singular_values_match_dense():
 
 
 def test_power_result_reports_nonconvergence(k5):
-    res = spectral_norm(k5, 1.0, tol=1e-12, max_iters=1)
+    res = leading_eigenpair(k5, tol=1e-12, max_iters=1)
     assert not res.converged
     assert res.value > 0
 
 
 def test_eigensolves_default_to_the_certificate_settings():
     # the bound, rank1 and a sweep call both at their defaults; spectral_norm
-    # keeps the looser settings of the option1/option2 step rules
+    # runs at the looser settings of the option1/option2 step rules
     g = random_graph(60, 0.15, np.random.default_rng(9))
     lead = leading_eigenpair(g)
     cert = leading_eigenpair(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
@@ -156,6 +156,8 @@ def test_eigensolves_default_to_the_certificate_settings():
     s1, u1, s2 = top_two_singular_values(g)
     c1, v1, c2 = top_two_singular_values(g, tol=CERT_TOL, max_iters=CERT_MAX_ITERS)
     assert (s1, s2) == (c1, c2) and np.array_equal(u1, v1)
-    loose = leading_eigenpair(g, tol=1e-6, max_iters=1000)
-    assert np.array_equal(spectral_norm(g, 0.0).vector, loose.vector)
+    loose = leading_eigenpair(g, tol=STEP_TOL, max_iters=STEP_MAX_ITERS)
+    step = spectral_norm(g, 0.5)
+    assert step.value == loose.value + 0.5
+    assert np.array_equal(step.vector, loose.vector)
     assert not np.array_equal(loose.vector, cert.vector)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dks.linalg import loaded_matvec
-from dks.topk import indicator, top_k_indices
+from dks.points import indicator, top_k_indices
 
 from conftest import random_graph
 
