@@ -9,7 +9,7 @@ in the package is trying to push toward 1.
 import os
 import tempfile
 
-from dks import Graph, induced_edge_count, load_edge_list, normalized_density
+from dks import Graph, load_edge_list, make_selection
 
 
 def main():
@@ -21,9 +21,9 @@ def main():
     print(f"neighbors of 1: {g.neighbors_of(1).tolist()}")
 
     for subset in ([0, 1, 2], [0, 1, 3], [1, 2, 3, 4]):
-        edges = induced_edge_count(g, subset)
-        dens = normalized_density(g, subset)
-        print(f"subset {subset}: induced edges={edges} density={dens:.4f}")
+        sel = make_selection(g, subset)
+        print(f"subset {subset}: induced edges={sel.induced_edges} "
+              f"density={sel.normalized_density:.4f}")
 
     # the loader deduplicates, drops self-loops, and remaps arbitrary
     # vertex labels to 0..n-1 (original labels kept for reporting)
@@ -38,7 +38,7 @@ def main():
         print(f"original labels: {loaded.original_ids.tolist()}")
         dense_part = loaded.index_of([10, 20, 30])
         print(f"density of labels 10,20,30: "
-              f"{normalized_density(loaded, dense_part):.4f}")
+              f"{make_selection(loaded, dense_part).normalized_density:.4f}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
 from .fw import (FwConfig, SolveReport, SolverError, fw_multi_start, fw_solve,
                  lmp_top_k)
 from .graph import (Graph, ProblemInstance, induced_edge_count, load_edge_list,
-                    load_selection_file, normalized_density)
+                    load_selection_file)
 from .linalg import (PowerResult, leading_eigenpair, loaded_matvec,
                      quadratic_form, spectral_norm, top_two_singular_values)
 from .oracle import (dense_eig, exact_dks, max_clique, maximal_cliques,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "ProblemInstance", "load_edge_list", "induced_edge_count",
-    "normalized_density",
     "loaded_matvec", "quadratic_form", "spectral_norm", "leading_eigenpair",
     "top_two_singular_values", "PowerResult",
     "FwConfig", "SolveReport", "SolverError", "fw_solve", "fw_multi_start",

@@ -135,14 +135,10 @@ def cmd_solve(args) -> int:
     iters = {} if args.max_iters is None else {"max_iters": args.max_iters}
     try:
         inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
-        check_objective_fits(args.k, args.loading)
         fw_cfg = FwConfig(step_rule=args.step_rule, **iters)
         opt_cfg = OptimizerConfig(learning_rate=args.lr, **iters)
-    except ValueError as exc:
-        return _refuse(EXIT_BAD_FLAGS, str(exc))
-    try:
         rep = solve_with(args.solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg)
-    except ValueError as exc:  # a solver's own input check, e.g. greedy's k >= 2
+    except ValueError as exc:  # an input check, e.g. greedy's k >= 2
         return _refuse(EXIT_BAD_FLAGS, str(exc))
     except Exception as exc:  # noqa: BLE001 - reported as solver failure
         return _refuse(EXIT_SOLVER, f"solver failed: {exc}")

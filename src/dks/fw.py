@@ -28,7 +28,7 @@ from .graph import ProblemInstance, induced_edge_count
 from .linalg import loaded_matvec, spectral_norm
 from .points import (indicator, is_feasible, project_capped_simplex,
                      top_k_indices, uniform_point)
-from .rounding import SNAP_TOL, VertexSelection, project_top_k
+from .rounding import VertexSelection, fractional_indices, project_top_k
 
 STEP_RULES = ("exact", "option1", "option2")
 
@@ -84,21 +84,15 @@ def finish_report(solver_name: str, inst: ProblemInstance, t_start: float, x,
     return SolveReport(
         solver_name=solver_name, objective_trace=np.asarray(trace),
         iterations=iterations, converged=converged,
-        integral=is_integral(x) and is_feasible(x, inst.k), final_point=x,
-        selection=selection, wall_time_s=time.perf_counter() - t_start,
-        fw_gap=fw_gap)
+        integral=is_feasible(x, inst.k) and not len(fractional_indices(x)),
+        final_point=x, selection=selection,
+        wall_time_s=time.perf_counter() - t_start, fw_gap=fw_gap)
 
 
 def lmp_top_k(gradient, k: int) -> np.ndarray:
     """Maximize the linearized objective over the polytope: a 0/1 top-k vertex."""
     gradient = np.asarray(gradient, dtype=np.float64)
     return indicator(top_k_indices(gradient, k), len(gradient))
-
-
-def is_integral(x) -> bool:
-    """Every coordinate within rounding's SNAP_TOL of an integer."""
-    x = np.asarray(x, dtype=np.float64)
-    return bool(np.all(np.abs(x - np.round(x)) <= SNAP_TOL))
 
 
 def curvature(g, loading: float, top, qx, val: float) -> float:

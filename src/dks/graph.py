@@ -419,6 +419,7 @@ class ProblemInstance:
     def __post_init__(self):
         check_k(self.k, 1, self.graph.n)
         check_loading(self.loading)
+        check_objective_fits(self.k, self.loading)
 
 
 def _integer_ids(ids) -> np.ndarray:
@@ -445,7 +446,8 @@ def check_loading(loading) -> None:
 def check_objective_fits(k: int, loading: float) -> None:
     """Reject a loading at which k(k-1) + loading*k, the largest objective
     a k-set can have, is not a finite float."""
-    if not np.isfinite(k * (k - 1) + loading * k):
+    k = int(k)  # Python arithmetic: a numpy scalar would warn on overflow
+    if not np.isfinite(k * (k - 1) + float(loading) * k):
         raise ValueError(f"loading {loading} makes the objective "
                          f"k(k-1) + loading*k overflow at k={k}")
 
@@ -473,11 +475,3 @@ def induced_edge_count(g: Graph, subset) -> int:
     pos = np.repeat(starts - (ends - degs), degs)
     pos += np.arange(len(pos))
     return int(np.count_nonzero(mask[g.neighbors[pos]])) // 2
-
-
-def normalized_density(g: Graph, subset) -> float:
-    """Induced edge count divided by k*(k-1)/2; equals 1 for a clique."""
-    k = len(subset)
-    if k < 2:
-        raise ValueError("normalized density needs at least two vertices")
-    return 2.0 * induced_edge_count(g, subset) / (k * (k - 1))

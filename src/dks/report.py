@@ -19,7 +19,7 @@ from typing import Optional
 
 from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
 from .fw import FwConfig, SolveReport, finish_report, fw_solve
-from .graph import Graph, ProblemInstance, check_k, check_objective_fits
+from .graph import Graph, ProblemInstance
 from .linalg import top_two_singular_values
 from .param import OptimizerConfig, param_solve
 from .points import indicator
@@ -127,9 +127,7 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
         if a >= b:
             fault = f"k={a} repeated" if a == b else f"k={b} after k={a}"
             raise ValueError(f"k values must be sorted strictly ascending: {fault}")
-    for k in ks:
-        check_k(k, 1, g.n)
-        check_objective_fits(k, loading)
+    insts = [ProblemInstance(graph=g, k=k, loading=loading) for k in ks]
     for i, name in enumerate(solvers):
         if name not in SOLVER_NAMES:
             raise ValueError(f"unknown solver {name!r}; choose from {SOLVER_NAMES}")
@@ -141,10 +139,9 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
               for k in ks}
     records = []
     for solver in sorted(solvers):
-        for k in ks:
-            inst = ProblemInstance(graph=g, k=k, loading=loading)
-            ident = dict(dataset=dataset, n=g.n, m=g.m, k=k, loading=loading,
-                         solver=solver, upper_bound=bounds[k])
+        for inst in insts:
+            ident = dict(dataset=dataset, n=g.n, m=g.m, k=inst.k, loading=loading,
+                         solver=solver, upper_bound=bounds[inst.k])
             try:
                 rep = solve_with(solver, inst, eig=eig)
                 sel = rep.selection

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, ProblemInstance, check_loading, induced_edge_count
+from .graph import (Graph, ProblemInstance, check_loading, check_objective_fits,
+                    induced_edge_count)
 from .points import is_feasible, top_k_indices
 
 # Coordinates closer than this to 0 or 1 count as integral and are snapped.
@@ -41,9 +42,11 @@ class VertexSelection:
 
 
 def make_selection(g: Graph, vertices, loading: float = 1.0) -> VertexSelection:
-    """Build a VertexSelection with edge count and densities filled in."""
+    """Build a VertexSelection with edge count and densities filled in,
+    refusing a loading at which the objective of k = len(vertices) overflows."""
     check_loading(loading)
     verts = np.sort(vertices)
+    check_objective_fits(len(verts), loading)
     edges = induced_edge_count(g, verts)  # checks the ids
     verts = verts.astype(np.int64, copy=False)
     k = len(verts)

@@ -5,11 +5,12 @@ import pytest
 
 from dks import (FwConfig, Graph, ProblemInstance, SolverError,
                  fw_multi_start, fw_solve)
-from dks.fw import curvature, exact_step, is_integral, lmp_top_k
+from dks.fw import curvature, exact_step, finish_report, lmp_top_k
 from dks.linalg import loaded_matvec, quadratic_form, spectral_norm
 from dks.points import (indicator, is_feasible, random_feasible_point,
                         top_k_indices, uniform_point)
 from dks.report import solve_with
+from dks.rounding import fractional_indices
 
 from conftest import random_graph
 
@@ -29,10 +30,15 @@ def test_lmp_top_k_is_indicator():
     assert s.tolist() == [1.0, 1.0, 0.0]
 
 
-def test_is_integral():
-    assert is_integral([1.0, 0.0, 1.0])
-    assert is_integral([1.0 - 1e-12, 1e-12, 1.0])
-    assert not is_integral([0.5, 0.5, 1.0])
+def test_fractional_indices(triangle):
+    # a report's integral flag reads rounding's one integrality predicate
+    inst = ProblemInstance(graph=triangle, k=2)
+    for x, frac in (([1.0, 0.0, 1.0], []), ([1.0 - 1e-12, 1e-12, 1.0], []),
+                    ([0.5, 0.5, 1.0], [0, 1])):
+        x = np.array(x)
+        assert fractional_indices(x).tolist() == frac
+        rep = finish_report("probe", inst, 0.0, x, [0.0], None, 0, True)
+        assert rep.integral == (not frac)
 
 
 def test_triangle_k2_reaches_optimum(triangle):

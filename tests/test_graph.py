@@ -16,7 +16,7 @@ import dks.graph as graph_module
 from dks import (Graph, ProblemInstance, density_upper_bound, exact_dks,
                  greedy_feige, load_edge_list, project_capped_simplex,
                  rank1_lrbo, run_sweep, top_k_indices)
-from dks.graph import induced_edge_count, normalized_density
+from dks.graph import induced_edge_count
 
 from conftest import random_graph
 
@@ -493,6 +493,9 @@ def test_problem_instance_validation(triangle):
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             ProblemInstance(graph=triangle, k=2, loading=lam)
+    for lam in (1e308, np.float64(1e308)):
+        with pytest.raises(ValueError, match="overflow"):
+            ProblemInstance(graph=triangle, k=2, loading=lam)
 
 
 # Every entry point that takes a subgraph size k, with the lowest k it takes.
@@ -545,13 +548,6 @@ def test_induced_edge_count_matches_pair_count():
             assert induced_edge_count(g, subset) == expected, (g.n, k)
     assert induced_edge_count(g, []) == 0
     assert induced_edge_count(g, np.arange(g.n)) == g.m
-
-
-def test_normalized_density(two_triangles, star5):
-    assert normalized_density(two_triangles, [0, 1, 2]) == 1.0
-    assert normalized_density(star5, [0, 1, 2]) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        normalized_density(two_triangles, [0])
 
 
 def test_random_graph_density_against_matrix():

@@ -156,9 +156,9 @@ def test_param_solve_respects_custom_config(triangle):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_param_solve_nonfinite_aborts(triangle):
-    # a loading large enough to overflow the objective must be caught,
-    # not silently propagated through the trace
-    inst = ProblemInstance(graph=triangle, k=2, loading=1.6e308)
+    # at 1e300 the objective fits (the instance accepts it), but Adam's
+    # squared gradient overflows: caught, not silently propagated
+    inst = ProblemInstance(graph=triangle, k=2, loading=1e300)
     with pytest.raises(SolverError, match="non-finite"):
         param_solve(inst)
 

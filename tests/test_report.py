@@ -112,7 +112,7 @@ def test_run_sweep_failed_cell(star5):
     assert by_k[2].status == "ok"
 
 
-def test_run_sweep_validation(triangle):
+def test_run_sweep_validation(triangle, eigensolves):
     with pytest.raises(ValueError, match="sorted"):
         run_sweep(triangle, 1.0, [3, 2], ["greedy"])
     with pytest.raises(ValueError, match="strictly"):
@@ -121,6 +121,12 @@ def test_run_sweep_validation(triangle):
         run_sweep(triangle, 1.0, [4], ["greedy"])
     with pytest.raises(ValueError, match="unknown solver"):
         run_sweep(triangle, 1.0, [2], ["magic"])
+    # a bad loading is refused by the loading rule, before any eigensolve
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_sweep(triangle, -1.0, [2], ["greedy"])
+    with pytest.raises(ValueError, match="finite"):
+        run_sweep(triangle, np.nan, [2], ["greedy"])
+    assert not eigensolves
 
 
 def test_run_sweep_runs_one_perron_iteration(monkeypatch, eigensolves,

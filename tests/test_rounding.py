@@ -5,21 +5,21 @@ import pytest
 
 from dks import (Graph, ProblemInstance, greedy_feige, rank1_lrbo,
                  round_to_integral, rounding_step, score_selection)
-from dks.fw import is_integral
 from dks.linalg import quadratic_form
 from dks.points import is_feasible, random_feasible_point, uniform_point
-from dks.rounding import SNAP_TOL, make_selection, project_top_k
+from dks.rounding import SNAP_TOL, fractional_indices, make_selection, project_top_k
 
 from conftest import random_graph
 
 
-def test_make_selection_two_triangles(two_triangles):
+def test_make_selection_two_triangles(two_triangles, star5):
     sel = make_selection(two_triangles, [2, 0, 1], loading=1.0)
     assert sel.vertices.tolist() == [0, 1, 2]
     assert sel.induced_edges == 3
     assert sel.normalized_density == 1.0
     assert sel.objective_at_loading == 9.0
     assert sel.k == 3
+    assert make_selection(star5, [0, 1, 2]).normalized_density == pytest.approx(2.0 / 3.0)
 
 
 def test_make_selection_k1_density_zero(triangle):
@@ -39,7 +39,8 @@ def test_make_selection_validation(triangle):
             make_selection(triangle, ids)
 
 
-@pytest.mark.parametrize("loading", [np.nan, np.inf, -5.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("loading", [np.nan, np.inf, -5.0, 1e308],
+                         ids=["nan", "inf", "negative", "huge"])
 @pytest.mark.parametrize("build", [
     lambda g, lam: make_selection(g, [0, 1], lam),
     lambda g, lam: greedy_feige(g, 2, lam),
@@ -121,7 +122,7 @@ def test_round_never_decreases_objective():
         inst = ProblemInstance(graph=g, k=k, loading=lam)
         x0 = random_feasible_point(g.n, k, rng)
         x1 = round_to_integral(inst, x0)
-        assert is_integral(x1)
+        assert not len(fractional_indices(x1))
         assert is_feasible(x1, k, tol=0.0)
         assert int(x1.sum()) == k
         before = quadratic_form(inst.graph, inst.loading, x0)
