@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Frank-Wolfe step-size rule (default: exact line "
                             "search; option1/option2 are the paper's rules)")
     solve.add_argument("--max-iters", type=int, default=None,
-                       help="iteration budget (default: 1000 fw / 200 param)")
+                       help="iteration budget (default: 1000 fw; for param a cap of "
+                            "200, as it stops once its top-k set settles)")
     solve.add_argument("--lr", type=float, default=3.0,
                        help="learning rate for the param solver")
     solve.add_argument("--output", choices=("text", "json"), default="text")

@@ -6,7 +6,10 @@ exceed the budget.  The objective pulled back to theta-space is smooth
 except on the budget boundary, and its gradient is computable in
 O(m + n) via the rank-1 structure of the normalization Jacobian.  A
 self-contained adaptive-moment optimizer (Adam) drives the ascent;
-defaults follow learning rate 3, 200 iterations, and θ starts at 0.
+defaults follow learning rate 3, at most 200 iterations, and θ starts at 0.
+The answer is the top-k set of the final x, so the ascent stops once that
+set has stayed the same for ``SETTLE_ITERS`` evaluations in a row;
+``OptimizerConfig(settle_iters=None)`` runs the full budget.
 
 The sigmoid is numpy's, computed in a form that cannot overflow; it
 agrees with scipy's ``expit`` to a few ulp, so the module needs nothing
@@ -17,12 +20,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .graph import ProblemInstance
 from .fw import SolveReport, SolverError, finish_report
 from .linalg import loaded_matvec
+from .points import top_k_indices
 from .rounding import project_top_k
 
 
@@ -31,19 +36,31 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
+# The ascent stops once the top-k set of x is the same at this many
+# consecutive evaluations.
+SETTLE_ITERS = 30
+
 
 @dataclass
 class OptimizerConfig:
-    """Adaptive-moment (Adam) ascent settings."""
+    """Adaptive-moment (Adam) ascent settings.
+
+    ``max_iters`` caps the Adam updates.  ``settle_iters`` stops the run
+    earlier, once the top-k set of x has been the same at that many
+    consecutive evaluations; None runs all ``max_iters`` updates.
+    """
 
     learning_rate: float = 3.0
     max_iters: int = 200
+    settle_iters: Optional[int] = SETTLE_ITERS
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.settle_iters is not None and self.settle_iters < 1:
+            raise ValueError("settle_iters must be None or >= 1")
 
 
 def _sigmoid(theta: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -133,12 +150,14 @@ def _objective_and_gradient(inst: ProblemInstance, theta, sig, slope, x):
 def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None) -> SolveReport:
     """Adaptive-moment ascent on the parameterized objective.
 
-    Runs for the full iteration budget.  With no gap certificate in
-    theta-space and no convergence test, ``converged`` is always False.
-    A non-finite value or an overflow (Adam's squared gradient, at a huge
-    loading) raises SolverError.  The final selection is the top-k
-    projection of the final x, which also repairs any budget shortfall
-    left by the <=k relaxation.
+    Runs until the top-k set of x has been the same at
+    ``cfg.settle_iters`` consecutive evaluations, or for all
+    ``cfg.max_iters`` updates, whichever comes first; ``iterations`` counts
+    the updates taken.  A settled set is no certificate and theta-space has
+    no gap, so ``converged`` is always False.  A non-finite value or an
+    overflow (Adam's squared gradient, at a huge loading) raises
+    SolverError.  The final selection is the top-k projection of the final
+    x, which also repairs any budget shortfall left by the <=k relaxation.
     """
     t_start = time.perf_counter()
     cfg = cfg or OptimizerConfig()
@@ -150,7 +169,7 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None) -> SolveRepo
                           " (loading too large?)") from None
     return finish_report("param", inst, t_start, x, trace,
                          project_top_k(inst.graph, x, inst.k, inst.loading),
-                         cfg.max_iters, False)
+                         len(trace) - 1, False)
 
 
 def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):
@@ -162,20 +181,30 @@ def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):
     gradient and the mat-vec's own temporaries, and drops the gradient
     before the next mat-vec, so the loop peaks at about 8 n-vectors; all
     but x are freed on return, before the selection's own temporaries.
+    The settle rule's top-k runs after the mat-vec, beside the gradient,
+    and keeps only the k indices.  A settled run returns the point of its
+    last evaluation, before that evaluation's update.
     """
-    g = inst.graph
+    g, k = inst.graph, inst.k
     theta = np.zeros(g.n)
     m = np.zeros(g.n)
     v = np.zeros(g.n)
     sig, slope, x = (np.empty(g.n) for _ in range(3))
     trace = []
+    members, same = None, 0  # the latest top-k set, and at how many evaluations in a row
     for t in range(1, cfg.max_iters + 1):
-        value, grad, _ = _objective_and_gradient(inst, theta, sig, slope, x)
+        value, grad, point = _objective_and_gradient(inst, theta, sig, slope, x)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             raise SolverError(
                 f"non-finite objective or gradient at iteration {t} "
                 "(learning rate too large?)")
         trace.append(value)
+        if cfg.settle_iters is not None:
+            top = top_k_indices(point, k)
+            same = same + 1 if np.array_equal(top, members) else 1
+            members = top
+            if same >= cfg.settle_iters:
+                return trace, point
         # Minimize the negated objective.
         descent = np.negative(grad, out=grad)
         # m = BETA1*m + (1-BETA1)*descent and v = BETA2*v + (1-BETA2)*descent^2

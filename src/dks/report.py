@@ -19,7 +19,7 @@ from typing import Optional
 
 from .baselines import density_upper_bound, greedy_feige, rank1_lrbo
 from .fw import FwConfig, SolveReport, finish_report, fw_solve
-from .graph import Graph, ProblemInstance
+from .graph import Graph, ProblemInstance, check_loading
 from .linalg import top_two_singular_values
 from .param import OptimizerConfig, param_solve
 from .points import indicator
@@ -114,14 +114,16 @@ def run_sweep(g: Graph, loading: float, k_values, solver_names,
               dataset: str = "graph"):
     """Run every solver at every k; records come in (solver, k) order.
 
-    ``k_values`` must be strictly ascending and within [1, n], with a
-    finite objective at the loading; unknown or repeated solver names are
+    The loading must be finite and nonnegative, even for an empty
+    ``k_values``, which must be strictly ascending and within [1, n], with
+    a finite objective at the loading; unknown or repeated solver names are
     rejected up front.  Each cell runs its solver's default config, so it
     equals a standalone ``solve_with``; one eigensolve serves the bound and
     every rank1 cell.  A failing solver yields a "failed" record and the sweep
     continues.  Densities and iteration counts are reproducible; timings
     of course are not.
     """
+    check_loading(loading)
     ks, solvers = [int(k) for k in k_values], list(solver_names)
     for a, b in zip(ks, ks[1:]):
         if a >= b:

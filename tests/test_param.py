@@ -10,8 +10,9 @@ import pytest
 
 from dks import (Graph, OptimizerConfig, ProblemInstance, SolverError, param_solve,
                  theta_to_x)
-from dks.param import BETA1, BETA2, EPSILON, param_objective_and_gradient
+from dks.param import BETA1, BETA2, EPSILON, SETTLE_ITERS, param_objective_and_gradient
 from dks.linalg import quadratic_form
+from dks.points import top_k_indices
 
 from conftest import random_graph
 
@@ -108,13 +109,66 @@ def test_gradient_matches_finite_differences_both_branches():
 
 def test_param_solve_triangle(triangle):
     inst = ProblemInstance(graph=triangle, k=2, loading=1.0)
-    rep = param_solve(inst)
+    rep = param_solve(inst, OptimizerConfig(settle_iters=None))
     assert rep.solver_name == "param"
     assert not rep.converged
     assert rep.iterations == 200
     assert len(rep.objective_trace) == 201
     assert rep.selection.normalized_density == 1.0
     assert rep.selection.objective_at_loading == pytest.approx(4.0)
+
+
+def test_param_solve_triangle_settles(triangle):
+    # By symmetry x stays uniform, so the top-k set is {0, 1} at every
+    # evaluation: the run stops at evaluation SETTLE_ITERS, before its update.
+    inst = ProblemInstance(graph=triangle, k=2, loading=1.0)
+    rep = param_solve(inst)
+    assert not rep.converged
+    assert rep.iterations == SETTLE_ITERS - 1
+    assert len(rep.objective_trace) == SETTLE_ITERS
+    assert rep.selection.normalized_density == 1.0
+    assert rep.selection.objective_at_loading == pytest.approx(4.0)
+
+
+def _planted_clique(n, p, size, rng):
+    """G(n, p) with a clique on ``size`` random vertices, and those vertices."""
+    clique = rng.choice(n, size, replace=False)
+    base = random_graph(n, p, rng)
+    rows, cols = base.matrix.nonzero()
+    pairs = [(a, b) for a in clique for b in clique if a < b]
+    return Graph.from_edges(n, np.concatenate([np.column_stack([rows, cols]), pairs])), clique
+
+
+def test_param_settle_rule_stops_a_prefix_of_the_fixed_run():
+    # A settled run is the fixed run cut short: its trace is a prefix, bit
+    # for bit, its point is the fixed run's point after as many updates,
+    # and it stops at the first evaluation where the top-k set of x has been
+    # the same SETTLE_ITERS times in a row.
+    rng = np.random.default_rng(27)
+    g, clique = _planted_clique(300, 0.03, 20, rng)
+    inst = ProblemInstance(graph=g, k=20, loading=1.0)
+    rep = param_solve(inst)
+    full = param_solve(inst, OptimizerConfig(settle_iters=None))
+    t = rep.iterations
+    assert SETTLE_ITERS <= t < full.iterations == 200
+    assert len(rep.objective_trace) == t + 1
+    assert not rep.converged
+    assert rep.objective_trace.tolist() == full.objective_trace[:t + 1].tolist()
+    assert rep.selection.normalized_density == 1.0
+    assert rep.selection.objective_at_loading == full.selection.objective_at_loading
+
+    def point_after(updates):
+        if updates == 0:
+            return theta_to_x(np.zeros(g.n), inst.k)
+        cfg = OptimizerConfig(max_iters=updates, settle_iters=None)
+        return param_solve(inst, cfg).final_point
+
+    assert np.array_equal(rep.final_point, point_after(t))
+    settled = top_k_indices(rep.final_point, inst.k)
+    assert settled.tolist() == sorted(clique.tolist())
+    for updates in range(t - SETTLE_ITERS + 1, t):
+        assert np.array_equal(top_k_indices(point_after(updates), inst.k), settled)
+    assert not np.array_equal(top_k_indices(point_after(t - SETTLE_ITERS), inst.k), settled)
 
 
 def test_param_solve_two_triangles(two_triangles):
@@ -171,6 +225,9 @@ def test_optimizer_config_validation():
             OptimizerConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
+    for settle in (0, -1, -30):
+        with pytest.raises(ValueError, match="settle_iters"):
+            OptimizerConfig(settle_iters=settle)
 
 
 def _reference_param_solve(inst, cfg):
@@ -201,13 +258,17 @@ def test_param_solve_matches_allocating_reference():
     # In-place updates in the same order give bit-identical results, on
     # both branches of the budget map.
     rng = np.random.default_rng(25)
-    cfg = OptimizerConfig(max_iters=40)
+    cfg = OptimizerConfig(max_iters=40, settle_iters=None)
     for n, k in [(150, 5), (150, 120), (400, 30)]:
         inst = ProblemInstance(graph=random_graph(n, 0.05, rng), k=k, loading=1.0)
         rep = param_solve(inst, cfg)
         trace, x = _reference_param_solve(inst, cfg)
         assert rep.objective_trace[:-1].tolist() == trace
         assert np.array_equal(rep.final_point, x)
+        # the default run, which may stop early, is a prefix of the fixed one
+        settled = param_solve(inst, OptimizerConfig(max_iters=40))
+        head = rep.objective_trace[:settled.iterations + 1]
+        assert settled.objective_trace.tolist() == head.tolist()
 
 
 @pytest.mark.filterwarnings("error")
@@ -216,7 +277,7 @@ def test_param_solve_overflow_is_a_solver_failure():
     # theta would stop moving: the run fails as a SolverError, with no
     # RuntimeWarning.  Every loading below that keeps its result bit for bit.
     rng = np.random.default_rng(26)
-    cfg = OptimizerConfig(max_iters=30)
+    cfg = OptimizerConfig(max_iters=30, settle_iters=None)
     g4 = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     g150 = random_graph(150, 0.05, rng)
     for g, k in [(g4, 2), (g150, 5), (g150, 120)]:
@@ -227,8 +288,12 @@ def test_param_solve_overflow_is_a_solver_failure():
             assert rep.objective_trace[:-1].tolist() == trace
             assert np.array_equal(rep.final_point, x)
         for loading in (1e200, 1e300):
+            inst = ProblemInstance(graph=g, k=k, loading=loading)
             with pytest.raises(SolverError, match="overflow"):
-                param_solve(ProblemInstance(graph=g, k=k, loading=loading), cfg)
+                param_solve(inst, cfg)
+            # the overflow comes at the first update, before any set can settle
+            with pytest.raises(SolverError, match="overflow"):
+                param_solve(inst)
 
 
 def test_sigmoid_matches_expit():

@@ -129,6 +129,15 @@ def test_run_sweep_validation(triangle, eigensolves):
     assert not eigensolves
 
 
+@pytest.mark.parametrize("loading", [np.nan, np.inf, -1.0])
+def test_run_sweep_refuses_a_bad_loading_with_no_k(triangle, eigensolves, loading):
+    # the loading is checked before the instances are built, so an empty
+    # k list is no way round it
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        run_sweep(triangle, loading, [], ["fw"])
+    assert not eigensolves
+
+
 def test_run_sweep_runs_one_perron_iteration(monkeypatch, eigensolves,
                                              two_triangles, star5):
     # one eigensolve serves the density bound and rank1; fw needs none
