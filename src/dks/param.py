@@ -8,8 +8,9 @@ O(m + n) via the rank-1 structure of the normalization Jacobian.  A
 self-contained adaptive-moment optimizer (Adam) drives the ascent;
 defaults follow learning rate 3, at most 200 iterations, and θ starts at 0.
 The answer is the top-k set of the final x, so the ascent stops once that
-set has stayed the same for ``SETTLE_ITERS`` evaluations in a row;
-``OptimizerConfig(settle_iters=None)`` runs the full budget.
+set has stayed the same for ``SETTLE_ITERS`` evaluations in a row.  With
+``SETTLE_ITERS`` above ``max_iters`` the rule never fires, and the ascent
+runs the paper's full iteration budget.
 
 The sigmoid is numpy's, computed in a form that cannot overflow; it
 agrees with scipy's ``expit`` to a few ulp, so the module needs nothing
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .graph import ProblemInstance
@@ -45,22 +44,18 @@ SETTLE_ITERS = 30
 class OptimizerConfig:
     """Adaptive-moment (Adam) ascent settings.
 
-    ``max_iters`` caps the Adam updates.  ``settle_iters`` stops the run
-    earlier, once the top-k set of x has been the same at that many
-    consecutive evaluations; None runs all ``max_iters`` updates.
+    ``max_iters`` caps the Adam updates; the settle rule may stop the run
+    earlier.
     """
 
     learning_rate: float = 3.0
     max_iters: int = 200
-    settle_iters: Optional[int] = SETTLE_ITERS
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.settle_iters is not None and self.settle_iters < 1:
-            raise ValueError("settle_iters must be None or >= 1")
 
 
 def _sigmoid(theta: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -151,7 +146,7 @@ def param_solve(inst: ProblemInstance, cfg: OptimizerConfig = None) -> SolveRepo
     """Adaptive-moment ascent on the parameterized objective.
 
     Runs until the top-k set of x has been the same at
-    ``cfg.settle_iters`` consecutive evaluations, or for all
+    ``SETTLE_ITERS`` consecutive evaluations, or for all
     ``cfg.max_iters`` updates, whichever comes first; ``iterations`` counts
     the updates taken.  A settled set is no certificate and theta-space has
     no gap, so ``converged`` is always False.  A non-finite value or an
@@ -199,12 +194,11 @@ def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):
                 f"non-finite objective or gradient at iteration {t} "
                 "(learning rate too large?)")
         trace.append(value)
-        if cfg.settle_iters is not None:
-            top = top_k_indices(point, k)
-            same = same + 1 if np.array_equal(top, members) else 1
-            members = top
-            if same >= cfg.settle_iters:
-                return trace, point
+        top = top_k_indices(point, k)
+        same = same + 1 if np.array_equal(top, members) else 1
+        members = top
+        if same >= SETTLE_ITERS:
+            return trace, point
         # Minimize the negated objective.
         descent = np.negative(grad, out=grad)
         # m = BETA1*m + (1-BETA1)*descent and v = BETA2*v + (1-BETA2)*descent^2

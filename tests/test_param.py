@@ -10,6 +10,7 @@ import pytest
 
 from dks import (Graph, OptimizerConfig, ProblemInstance, SolverError, param_solve,
                  theta_to_x)
+import dks.param
 from dks.param import BETA1, BETA2, EPSILON, SETTLE_ITERS, param_objective_and_gradient
 from dks.linalg import quadratic_form
 from dks.points import top_k_indices
@@ -107,9 +108,15 @@ def test_gradient_matches_finite_differences_both_branches():
             normalized += 1
 
 
-def test_param_solve_triangle(triangle):
+@pytest.fixture
+def fixed_run(monkeypatch):
+    """Turn the settle rule off, so param runs all of max_iters as the paper does."""
+    monkeypatch.setattr(dks.param, "SETTLE_ITERS", 10**9)
+
+
+def test_param_solve_triangle(triangle, fixed_run):
     inst = ProblemInstance(graph=triangle, k=2, loading=1.0)
-    rep = param_solve(inst, OptimizerConfig(settle_iters=None))
+    rep = param_solve(inst)
     assert rep.solver_name == "param"
     assert not rep.converged
     assert rep.iterations == 200
@@ -139,7 +146,7 @@ def _planted_clique(n, p, size, rng):
     return Graph.from_edges(n, np.concatenate([np.column_stack([rows, cols]), pairs])), clique
 
 
-def test_param_settle_rule_stops_a_prefix_of_the_fixed_run():
+def test_param_settle_rule_stops_a_prefix_of_the_fixed_run(monkeypatch):
     # A settled run is the fixed run cut short: its trace is a prefix, bit
     # for bit, its point is the fixed run's point after as many updates,
     # and it stops at the first evaluation where the top-k set of x has been
@@ -148,7 +155,8 @@ def test_param_settle_rule_stops_a_prefix_of_the_fixed_run():
     g, clique = _planted_clique(300, 0.03, 20, rng)
     inst = ProblemInstance(graph=g, k=20, loading=1.0)
     rep = param_solve(inst)
-    full = param_solve(inst, OptimizerConfig(settle_iters=None))
+    monkeypatch.setattr(dks.param, "SETTLE_ITERS", 10**9)
+    full = param_solve(inst)
     t = rep.iterations
     assert SETTLE_ITERS <= t < full.iterations == 200
     assert len(rep.objective_trace) == t + 1
@@ -160,8 +168,7 @@ def test_param_settle_rule_stops_a_prefix_of_the_fixed_run():
     def point_after(updates):
         if updates == 0:
             return theta_to_x(np.zeros(g.n), inst.k)
-        cfg = OptimizerConfig(max_iters=updates, settle_iters=None)
-        return param_solve(inst, cfg).final_point
+        return param_solve(inst, OptimizerConfig(max_iters=updates)).final_point
 
     assert np.array_equal(rep.final_point, point_after(t))
     settled = top_k_indices(rep.final_point, inst.k)
@@ -225,9 +232,6 @@ def test_optimizer_config_validation():
             OptimizerConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    for settle in (0, -1, -30):
-        with pytest.raises(ValueError, match="settle_iters"):
-            OptimizerConfig(settle_iters=settle)
 
 
 def _reference_param_solve(inst, cfg):
@@ -254,30 +258,26 @@ def _reference_param_solve(inst, cfg):
     return trace, theta_to_x(theta, k)
 
 
-def test_param_solve_matches_allocating_reference():
+def test_param_solve_matches_allocating_reference(fixed_run):
     # In-place updates in the same order give bit-identical results, on
     # both branches of the budget map.
     rng = np.random.default_rng(25)
-    cfg = OptimizerConfig(max_iters=40, settle_iters=None)
+    cfg = OptimizerConfig(max_iters=40)
     for n, k in [(150, 5), (150, 120), (400, 30)]:
         inst = ProblemInstance(graph=random_graph(n, 0.05, rng), k=k, loading=1.0)
         rep = param_solve(inst, cfg)
         trace, x = _reference_param_solve(inst, cfg)
         assert rep.objective_trace[:-1].tolist() == trace
         assert np.array_equal(rep.final_point, x)
-        # the default run, which may stop early, is a prefix of the fixed one
-        settled = param_solve(inst, OptimizerConfig(max_iters=40))
-        head = rep.objective_trace[:settled.iterations + 1]
-        assert settled.objective_trace.tolist() == head.tolist()
 
 
 @pytest.mark.filterwarnings("error")
-def test_param_solve_overflow_is_a_solver_failure():
+def test_param_solve_overflow_is_a_solver_failure(fixed_run):
     # At a huge loading Adam's squared gradient is not a finite float, and
     # theta would stop moving: the run fails as a SolverError, with no
     # RuntimeWarning.  Every loading below that keeps its result bit for bit.
     rng = np.random.default_rng(26)
-    cfg = OptimizerConfig(max_iters=30, settle_iters=None)
+    cfg = OptimizerConfig(max_iters=30)
     g4 = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     g150 = random_graph(150, 0.05, rng)
     for g, k in [(g4, 2), (g150, 5), (g150, 120)]:
@@ -288,12 +288,8 @@ def test_param_solve_overflow_is_a_solver_failure():
             assert rep.objective_trace[:-1].tolist() == trace
             assert np.array_equal(rep.final_point, x)
         for loading in (1e200, 1e300):
-            inst = ProblemInstance(graph=g, k=k, loading=loading)
             with pytest.raises(SolverError, match="overflow"):
-                param_solve(inst, cfg)
-            # the overflow comes at the first update, before any set can settle
-            with pytest.raises(SolverError, match="overflow"):
-                param_solve(inst)
+                param_solve(ProblemInstance(graph=g, k=k, loading=loading), cfg)
 
 
 def test_sigmoid_matches_expit():

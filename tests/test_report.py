@@ -126,15 +126,10 @@ def test_run_sweep_validation(triangle, eigensolves):
         run_sweep(triangle, -1.0, [2], ["greedy"])
     with pytest.raises(ValueError, match="finite"):
         run_sweep(triangle, np.nan, [2], ["greedy"])
-    assert not eigensolves
-
-
-@pytest.mark.parametrize("loading", [np.nan, np.inf, -1.0])
-def test_run_sweep_refuses_a_bad_loading_with_no_k(triangle, eigensolves, loading):
-    # the loading is checked before the instances are built, so an empty
-    # k list is no way round it
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        run_sweep(triangle, loading, [], ["fw"])
+    # and before the instances are built, so an empty k list is no way round it
+    for loading in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            run_sweep(triangle, loading, [], ["fw"])
     assert not eigensolves
 
 
