@@ -19,14 +19,13 @@ import argparse
 
 import numpy as np
 
-from dks import (OptimizerConfig, ProblemInstance, fw_solve, param_solve,
-                 theta_to_x)
+from dks import ProblemInstance, fw_solve, param_solve, theta_to_x
 from dks.verify import random_gnp
 
 
-def compare(g, k, lr):
+def compare(g, k):
     inst = ProblemInstance(graph=g, k=k, loading=1.0)
-    rep = param_solve(inst, OptimizerConfig(learning_rate=lr))
+    rep = param_solve(inst)
     trace = rep.objective_trace
     # the ascent stops once its top-k set settles, often before t=100
     marks = [t for t in (0, 25, 50, 100) if t < rep.iterations] + [rep.iterations]
@@ -42,7 +41,6 @@ def compare(g, k, lr):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--lr", type=float, default=3.0)
     args = parser.parse_args()
 
     # the reparameterization in one line: theta=0 maps to the center
@@ -52,12 +50,12 @@ def main():
     g = random_gnp(100, 0.25, rng)
     print(f"\ngraph with signal: G(100, 0.25), n={g.n} m={g.m}")
     for k in (10, 20):
-        compare(g, k, args.lr)
+        compare(g, k)
 
     flat = random_gnp(150, 0.07, rng)
     print(f"\nflat sparse graph: G(150, 0.07), n={flat.n} m={flat.m} "
           "(expect the ascent to stall on a plateau)")
-    compare(flat, 8, args.lr)
+    compare(flat, 8)
 
 
 if __name__ == "__main__":

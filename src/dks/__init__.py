@@ -34,8 +34,8 @@ from .param import (OptimizerConfig, param_objective_and_gradient, param_solve,
                     theta_to_x)
 from .points import (is_feasible, project_capped_simplex, random_feasible_point,
                      top_k_indices, uniform_point)
-from .report import (ExperimentRecord, read_report, run_sweep, score_selection,
-                     solve_with, write_report)
+from .report import (ExperimentRecord, read_report, run_sweep, solve_with,
+                     write_report)
 from .rounding import (VertexSelection, make_selection, project_top_k,
                        round_to_integral, rounding_step)
 from .verify import (SuiteResult, small_graph_family, suite_landscape,
@@ -57,7 +57,7 @@ __all__ = [
     "exact_dks", "max_clique", "maximal_cliques",
     "simplex_qp_max", "project_scaled_simplex", "dense_eig",
     "ExperimentRecord", "run_sweep", "write_report", "read_report",
-    "score_selection", "solve_with", "load_selection_file",
+    "solve_with", "load_selection_file",
     "SuiteResult", "small_graph_family", "suite_motzkin", "suite_rounding",
     "suite_tightness", "suite_landscape",
     "uniform_point", "is_feasible", "project_capped_simplex",

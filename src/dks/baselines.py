@@ -68,7 +68,11 @@ def density_upper_bound(g: Graph, k: int, eig=None) -> float:
       the ratio at u1 bounds theta1 whether or not the iteration
       converged.  An entry of u1 that is not positive (underflow on a
       disconnected graph) reads as +inf, and the maximum degree, which
-      theta1 never exceeds, caps the term.
+      theta1 never exceeds, caps the term.  When no edge joins the set Z
+      of those entries to the rest, A is block diagonal over Z and its
+      complement, so theta1 is the larger of the blocks' top eigenvalues:
+      the ratios bound the complement's, and Z's degrees bound Z's, so
+      each entry of Z reads its degree instead.
     * sigma2 allowance: the sigma2 term adds 4 * ||A u - theta u|| to
       absorb the error the approximate deflation introduces.  An
       unconverged sigma2 is reported as inf, which drops the term from
@@ -87,7 +91,12 @@ def density_upper_bound(g: Graph, k: int, eig=None) -> float:
     maxdeg = float(g.degrees.max())
     guard = 1.0 + (g.n + maxdeg + 16.0) * np.finfo(np.float64).eps
     au = g.matrix.dot(u1)
-    ratios = np.divide(au, u1, out=np.full(g.n, np.inf), where=u1 > 0)
+    positive = u1 > 0
+    ratios = np.divide(au, u1, out=np.full(g.n, np.inf), where=positive)
+    if not positive.all():
+        zero = ~positive
+        if not g.matrix.dot(positive.astype(np.float64))[zero].any():
+            ratios[zero] = g.degrees[zero]
     sigma1_cert = min(maxdeg, float(ratios.max())) * guard
     theta = float(u1 @ au)
     residual = float(np.linalg.norm(au - theta * u1))

@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iters", type=int, default=None,
                        help="iteration budget (default: 1000 fw; for param a cap of "
                             "200, as it stops once its top-k set settles)")
-    solve.add_argument("--lr", type=float, default=3.0,
-                       help="learning rate for the param solver")
     solve.add_argument("--output", choices=("text", "json"), default="text")
 
     sweep = sub.add_parser("sweep", help="run solvers across a list of k values")
@@ -132,12 +130,12 @@ def _print_payload(payload: dict, output: str) -> None:
 
 def cmd_solve(args) -> int:
     g = _load(load_edge_list, args.graph, "graph")
-    # both configs are built, so a bad value is refused whichever solver runs
+    # both configs are built, so a bad --max-iters is refused whichever solver runs
     iters = {} if args.max_iters is None else {"max_iters": args.max_iters}
     try:
         inst = ProblemInstance(graph=g, k=args.k, loading=args.loading)
         fw_cfg = FwConfig(step_rule=args.step_rule, **iters)
-        opt_cfg = OptimizerConfig(learning_rate=args.lr, **iters)
+        opt_cfg = OptimizerConfig(**iters)
         rep = solve_with(args.solver, inst, fw_cfg=fw_cfg, opt_cfg=opt_cfg)
     except ValueError as exc:  # an input check, e.g. greedy's k >= 2
         return _refuse(EXIT_BAD_FLAGS, str(exc))

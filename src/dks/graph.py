@@ -18,7 +18,7 @@ import os
 import re
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,20 +66,17 @@ class Graph:
     n: int
     m: int
     matrix: scipy.sparse.csr_matrix
-    original_ids: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.original_ids is None:
-            object.__setattr__(self, "original_ids", np.arange(self.n, dtype=np.int64))
+    original_ids: np.ndarray
 
     @classmethod
-    def from_edges(cls, n, edges, original_ids=None) -> "Graph":
+    def from_edges(cls, n, edges) -> "Graph":
         """Build a graph on ``n`` vertices from an iterable/array of id pairs.
 
         Self-loops are dropped, duplicate and reversed duplicates merged.
-        Ids must already be compact (0 <= id < n).  The edges are first
-        copied into an int64 array that the build then sorts and overwrites,
-        so the caller's array is never modified.
+        Ids must already be compact (0 <= id < n), and each is its own
+        label.  The edges are first copied into an int64 array that the
+        build then sorts and overwrites, so the caller's array is never
+        modified.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
@@ -89,9 +86,8 @@ class Graph:
             raise ValueError(f"vertex id out of range [0, {n})")
         indices, row_offsets = _arcs_in_place(n, pairs.reshape(-1))
         del pairs  # before the matrix's data is allocated
-        ids = None if original_ids is None else np.asarray(original_ids)
         return cls(n=n, m=len(indices) // 2, matrix=_csr(n, indices, row_offsets),
-                   original_ids=ids)
+                   original_ids=np.arange(n, dtype=np.int64))
 
     @property
     def row_offsets(self) -> np.ndarray:

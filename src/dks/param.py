@@ -5,8 +5,9 @@ the budget set {x in [0,1]^n : sum x <= k} whenever the raw sigmoids
 exceed the budget.  The objective pulled back to theta-space is smooth
 except on the budget boundary, and its gradient is computable in
 O(m + n) via the rank-1 structure of the normalization Jacobian.  A
-self-contained adaptive-moment optimizer (Adam) drives the ascent;
-defaults follow learning rate 3, at most 200 iterations, and θ starts at 0.
+self-contained adaptive-moment optimizer (Adam) drives the ascent at
+learning rate ``LEARNING_RATE`` = 3, for at most 200 iterations, with θ
+starting at 0.
 The answer is the top-k set of the final x, so the ascent stops once that
 set has stayed the same for ``SETTLE_ITERS`` evaluations in a row.  With
 ``SETTLE_ITERS`` above ``max_iters`` the rule never fires, and the ascent
@@ -30,6 +31,8 @@ from .points import top_k_indices
 from .rounding import project_top_k
 
 
+# Adam's step size, the paper's.
+LEARNING_RATE = 3.0
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 BETA1 = 0.9
 BETA2 = 0.999
@@ -42,18 +45,15 @@ SETTLE_ITERS = 30
 
 @dataclass
 class OptimizerConfig:
-    """Adaptive-moment (Adam) ascent settings.
+    """The Adam ascent's one setting.
 
     ``max_iters`` caps the Adam updates; the settle rule may stop the run
     earlier.
     """
 
-    learning_rate: float = 3.0
     max_iters: int = 200
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -177,8 +177,9 @@ def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):
     before the next mat-vec, so the loop peaks at about 8 n-vectors; all
     but x are freed on return, before the selection's own temporaries.
     The settle rule's top-k runs after the mat-vec, beside the gradient,
-    and keeps only the k indices.  A settled run returns the point of its
-    last evaluation, before that evaluation's update.
+    and keeps only the k indices.  The run returns the point of its last
+    evaluation: a settled run before that evaluation's update, a full run
+    after its ``max_iters``-th update.
     """
     g, k = inst.graph, inst.k
     theta = np.zeros(g.n)
@@ -187,17 +188,15 @@ def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):
     sig, slope, x = (np.empty(g.n) for _ in range(3))
     trace = []
     members, same = None, 0  # the latest top-k set, and at how many evaluations in a row
-    for t in range(1, cfg.max_iters + 1):
+    for t in range(1, cfg.max_iters + 2):
         value, grad, point = _objective_and_gradient(inst, theta, sig, slope, x)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            raise SolverError(
-                f"non-finite objective or gradient at iteration {t} "
-                "(learning rate too large?)")
+            raise SolverError(f"non-finite objective or gradient at iteration {t}")
         trace.append(value)
         top = top_k_indices(point, k)
         same = same + 1 if np.array_equal(top, members) else 1
         members = top
-        if same >= SETTLE_ITERS:
+        if same >= SETTLE_ITERS or t > cfg.max_iters:
             return trace, point
         # Minimize the negated objective.
         descent = np.negative(grad, out=grad)
@@ -208,19 +207,13 @@ def _adam_ascent(inst: ProblemInstance, cfg: OptimizerConfig):
         square = np.multiply(descent, 1.0 - BETA2, out=slope)
         square *= descent
         v += square
-        # theta -= lr * m_hat / (sqrt(v_hat) + eps), with the bias-corrected moments
+        # theta -= LEARNING_RATE * m_hat / (sqrt(v_hat) + eps), with the
+        # bias-corrected moments
         m_hat = np.divide(m, 1.0 - BETA1**t, out=x)
         v_hat = np.divide(v, 1.0 - BETA2**t, out=slope)
         np.sqrt(v_hat, out=v_hat)
         v_hat += EPSILON
         step = np.divide(m_hat, v_hat, out=x)
-        step *= cfg.learning_rate
+        step *= LEARNING_RATE
         theta -= step
         del grad, descent  # so the next mat-vec runs without the old gradient
-
-    final_value, _, x = _objective_and_gradient(inst, theta, sig, slope, x)
-    if not np.isfinite(final_value):
-        raise SolverError("non-finite objective after the final update "
-                          "(learning rate too large?)")
-    trace.append(final_value)
-    return trace, x

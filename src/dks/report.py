@@ -164,17 +164,6 @@ def score_labels(g: Graph, vertex_labels, loading: float):
     return sel, (density_upper_bound(g, sel.k) if sel.k >= 2 else None)
 
 
-def score_selection(g: Graph, vertex_labels, loading: float = 1.0,
-                    dataset: str = "graph") -> ExperimentRecord:
-    """Score an externally produced selection (original vertex labels)."""
-    sel, bound = score_labels(g, vertex_labels, loading)
-    return ExperimentRecord(
-        dataset=dataset, n=g.n, m=g.m, k=sel.k, loading=loading, solver="external",
-        normalized_density=sel.normalized_density,
-        objective=sel.objective_at_loading, iterations=0, wall_time_s=0.0,
-        integral_before_projection=True, upper_bound=bound)
-
-
 def _cell_value(v):
     if v is None:
         return ""

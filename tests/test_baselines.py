@@ -158,6 +158,44 @@ def test_bound_sigma1_term_sound_from_any_positive_vector():
     assert checks > 2000
 
 
+def test_bound_tight_when_u1_underflows_on_a_whole_component():
+    # stars K_{1,16} and K_{1,17} and one edge: the converged u1 is exactly 0
+    # on the edge, which no edge joins to the rest, so its ratios read its
+    # degrees and the bound stays theta1 / (k - 1), not the degree cap
+    edges = ([(0, leaf) for leaf in range(1, 17)]
+             + [(17, leaf) for leaf in range(18, 35)] + [(35, 36)])
+    g = Graph.from_edges(37, edges)
+    lead = leading_eigenpair(g)
+    assert lead.converged and lead.vector[35] == lead.vector[36] == 0.0
+    theta1 = dense_eig(g)[0][0]
+    for k in (6, 10, 18):
+        bound = density_upper_bound(g, k)
+        assert theta1 / (k - 1) <= bound <= theta1 / (k - 1) * (1 + 1e-9)
+
+
+def test_bound_sound_when_u_is_zero_on_whole_components():
+    # K4 beside the path P5, u each component's Perron vector (theta 3 and
+    # sqrt 3): zero on either whole component, u still bounds every
+    # k-subgraph, K4's density 1 included
+    g = Graph.from_edges(9, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+                         + [(i, i + 1) for i in range(4, 8)])
+    perron = np.concatenate([np.ones(4), np.sin(np.pi * np.arange(1, 6) / 6)])
+    for zero in (slice(0, 4), slice(4, 9)):
+        u = perron.copy()
+        u[zero] = 0.0
+        for k in range(2, g.n + 1):
+            bound = density_upper_bound(g, k, eig=(0.0, u, np.inf))
+            assert bound >= exact_dks(g, k, 1.0)[1].normalized_density
+
+
+def test_bound_keeps_the_degree_cap_when_u_is_zero_inside_a_component():
+    # the path 0-1-2 with u = (0, 1, 1): the ratios at the positive entries
+    # read 1, below theta1 = sqrt 2, so the zero entry must keep the cap
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    bound = density_upper_bound(g, 3, eig=(0.0, np.array([0.0, 1.0, 1.0]), np.inf))
+    assert bound >= 1.0
+
+
 def test_bound_k_validation(triangle):
     with pytest.raises(ValueError):
         density_upper_bound(triangle, 1)

@@ -217,9 +217,9 @@ def test_sweep_unwritable_output(graph_file, tmp_path, capsys):
     ["--max-iters", "-5"],
     ["--max-iters", "0"],
     ["--max-iters", "0", "--solver", "param"],
-    ["--gap-tol", "1"],  # an unknown flag
-    ["--lr", "0"],
-    ["--lr", "nan", "--solver", "param"],
+    ["--gap-tol", "1"],  # unknown flags
+    ["--lr", "3"],
+    ["--lr", "3", "--solver", "param"],
     ["--lambda", "nan"],
     ["--lambda", "inf"],
     ["--lambda", "1e308"],
@@ -559,7 +559,6 @@ _NUMERIC_FLAGS = [
     ("solve", "--k", False, ()),
     ("solve", "--lambda", True, ("zero",)),
     ("solve", "--max-iters", False, ("huge",)),
-    ("solve", "--lr", True, ("huge",)),
     ("sweep", "--k-list", False, ()),
     ("sweep", "--lambda", True, ("zero",)),
     ("verify", "--max-n", False, ("huge",)),

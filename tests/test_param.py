@@ -11,7 +11,8 @@ import pytest
 from dks import (Graph, OptimizerConfig, ProblemInstance, SolverError, param_solve,
                  theta_to_x)
 import dks.param
-from dks.param import BETA1, BETA2, EPSILON, SETTLE_ITERS, param_objective_and_gradient
+from dks.param import (BETA1, BETA2, EPSILON, LEARNING_RATE, SETTLE_ITERS,
+                       param_objective_and_gradient)
 from dks.linalg import quadratic_form
 from dks.points import top_k_indices
 
@@ -226,11 +227,6 @@ def test_param_solve_nonfinite_aborts(triangle):
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(learning_rate=0.0)
-    for lr in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            OptimizerConfig(learning_rate=lr)
-    with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
 
 
@@ -254,7 +250,7 @@ def _reference_param_solve(inst, cfg):
         v = BETA2 * v + (1.0 - BETA2) * descent * descent
         m_hat = m / (1.0 - BETA1**t)
         v_hat = v / (1.0 - BETA2**t)
-        theta = theta - cfg.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
+        theta = theta - LEARNING_RATE * (m_hat / (np.sqrt(v_hat) + EPSILON))
     return trace, theta_to_x(theta, k)
 
 

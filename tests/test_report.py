@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from dks import Graph
+from dks import Graph, density_upper_bound
 from dks.report import (SOLVER_NAMES, ExperimentRecord, format_float,
-                        read_report, run_sweep, score_selection, solve_with,
+                        read_report, run_sweep, score_labels, solve_with,
                         write_report)
-from dks.graph import ProblemInstance, load_selection_file
+from dks.graph import ProblemInstance, load_edge_list, load_selection_file
 
 from conftest import random_graph
 
@@ -164,17 +164,21 @@ def test_run_sweep_runs_one_perron_iteration(monkeypatch, eigensolves,
             np.testing.assert_array_equal(vertices, alone.selection.vertices)
 
 
-def test_score_selection_with_labels():
+def test_score_selection_with_labels(tmp_path):
     # labels are non-contiguous; scoring goes through the label index
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)],
-                         original_ids=np.array([10, 20, 30, 40]))
-    rec = score_selection(g, [10, 20, 30], dataset="labeled")
-    assert rec.k == 3
-    assert rec.normalized_density == pytest.approx(1.0)
-    assert rec.solver == "external"
-    assert rec.status == "ok"
+    path = tmp_path / "g.txt"
+    path.write_text("10 20\n20 30\n10 30\n30 40\n")
+    g = load_edge_list(path)
+    sel, bound = score_labels(g, [40, 30, 10], 1.0)
+    assert sel.vertices.tolist() == [0, 2, 3]
+    assert (sel.k, sel.induced_edges) == (3, 2)
+    assert sel.objective_at_loading == 7.0
+    assert bound == density_upper_bound(g, 3)
+    assert score_labels(g, [20], 1.0)[1] is None  # no bound below k = 2
     with pytest.raises(ValueError, match="duplicate vertices"):
-        score_selection(g, [10, 10, 20])
+        score_labels(g, [10, 10, 20], 1.0)
+    with pytest.raises(ValueError, match="unknown vertex label 50"):
+        score_labels(g, [10, 50], 1.0)
 
 
 def test_load_selection_file(tmp_path):

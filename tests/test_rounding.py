@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dks import (Graph, ProblemInstance, greedy_feige, rank1_lrbo,
-                 round_to_integral, rounding_step, score_selection)
+                 round_to_integral, rounding_step)
 from dks.linalg import quadratic_form
 from dks.points import is_feasible, random_feasible_point, uniform_point
+from dks.report import score_labels
 from dks.rounding import SNAP_TOL, fractional_indices, make_selection, project_top_k
 
 from conftest import random_graph
@@ -45,7 +46,7 @@ def test_make_selection_validation(triangle):
     lambda g, lam: make_selection(g, [0, 1], lam),
     lambda g, lam: greedy_feige(g, 2, lam),
     lambda g, lam: rank1_lrbo(g, 2, lam),
-    lambda g, lam: score_selection(g, [0, 1], lam),
+    lambda g, lam: score_labels(g, [0, 1], lam),  # dks score's selection scoring
 ], ids=["make_selection", "greedy_feige", "rank1_lrbo", "score_selection"])
 def test_selections_reject_bad_loading(triangle, build, loading):
     with pytest.raises(ValueError, match="loading"):
