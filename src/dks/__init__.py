@@ -7,7 +7,7 @@ be rounded to an integral one without losing objective value.  The
 package provides:
 
 - sparse CSR graphs and their SNAP-style vertex-id file loaders (``graph``),
-- O(m+n) linear-algebra kernels and power-iteration spectral estimates
+- O(m+n) linear-algebra kernels and iterative spectral estimates
   built on one Perron eigensolve (``linalg``),
 - a Frank-Wolfe solver whose linear step is a top-k selection (``fw``),
 - a sigmoid-parameterized unconstrained ascent solver with an in-repo

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph, check_k
-from .linalg import leading_eigenpair, top_two_singular_values
+from .linalg import collatz_wielandt, leading_eigenpair, top_two_singular_values
 from .points import indicator, top_k_indices
 from .rounding import VertexSelection, make_selection
 
@@ -63,16 +63,12 @@ def density_upper_bound(g: Graph, k: int, eig=None) -> float:
     values of k.  Without it the bound solves at the default settings of
     ``top_two_singular_values``, the certificate's.
 
-    * sigma1 term: for nonnegative A and any vector u > 0, the
-      Collatz-Wielandt inequality gives theta1 <= max_i (A u)_i / u_i, so
-      the ratio at u1 bounds theta1 whether or not the iteration
-      converged.  An entry of u1 that is not positive (underflow on a
-      disconnected graph) reads as +inf, and the maximum degree, which
-      theta1 never exceeds, caps the term.  When no edge joins the set Z
-      of those entries to the rest, A is block diagonal over Z and its
-      complement, so theta1 is the larger of the blocks' top eigenvalues:
-      the ratios bound the complement's, and Z's degrees bound Z's, so
-      each entry of Z reads its degree instead.
+    * sigma1 term: ``linalg.collatz_wielandt`` at u1, the bound
+      max_i (A u1)_i / (u1)_i on theta1, capped by the maximum degree,
+      which theta1 never exceeds.  It holds whether or not the iteration
+      converged, and an entry of u1 that is not positive reads as +inf
+      unless it lies in a set that no edge joins to the rest (a whole
+      component u1 underflowed on).
     * sigma2 allowance: the sigma2 term adds 4 * ||A u - theta u|| to
       absorb the error the approximate deflation introduces.  An
       unconverged sigma2 is reported as inf, which drops the term from
@@ -91,13 +87,7 @@ def density_upper_bound(g: Graph, k: int, eig=None) -> float:
     maxdeg = float(g.degrees.max())
     guard = 1.0 + (g.n + maxdeg + 16.0) * np.finfo(np.float64).eps
     au = g.matrix.dot(u1)
-    positive = u1 > 0
-    ratios = np.divide(au, u1, out=np.full(g.n, np.inf), where=positive)
-    if not positive.all():
-        zero = ~positive
-        if not g.matrix.dot(positive.astype(np.float64))[zero].any():
-            ratios[zero] = g.degrees[zero]
-    sigma1_cert = min(maxdeg, float(ratios.max())) * guard
+    sigma1_cert = min(maxdeg, collatz_wielandt(g, u1, au)) * guard
     theta = float(u1 @ au)
     residual = float(np.linalg.norm(au - theta * u1))
     sigma2_cert = (sigma2 + 4.0 * residual) * guard

@@ -47,7 +47,7 @@ class FwConfig:
     ``step_rule`` is one of STEP_RULES.  The default "exact" line search
     reads no Lipschitz constant; "option1" and "option2" are the paper's
     rules and need ||A + loading*I||_2, which costs each ``fw_solve`` one
-    power iteration.  ``max_iters`` is the step budget.
+    Perron eigensolve.  ``max_iters`` is the step budget.
     """
 
     step_rule: str = "exact"

@@ -2,10 +2,14 @@
 
 Everything here runs in O(m + n) per pass over the graph: the loaded
 mat-vec (A + loading*I)x, the quadratic form x^T(A + loading*I)x, and
-power-iteration estimates of the spectral quantities the solvers and the
-density bound need.  One iteration finds the Perron pair (theta1, u1) of
-A; the spectral norm of A + loading*I is read off it, and a second,
-deflated iteration gives the second singular value.
+iterative estimates of the spectral quantities the solvers and the
+density bound need.  One eigensolve finds the Perron pair (theta1, u1) of
+A: locally optimal CG to the residual tolerance, then a Collatz-Wielandt
+polish by power steps on A + I, both within one budget of products with
+A.  The spectral norm of A + loading*I is read off that pair, and a
+deflated power iteration gives the second singular value.
+``collatz_wielandt`` is the one place the bound max_i (A u)_i / u_i on
+theta1 is read, for the polish and for the density bound.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def quadratic_form(g: Graph, loading: float, x: np.ndarray) -> float:
 
 @dataclass
 class PowerResult:
-    """Outcome of a power-iteration estimate.
+    """Outcome of an eigensolve.
 
     ``value`` is the spectral estimate, ``vector`` the final unit iterate,
     ``converged`` whether the eigen-residual fell within tolerance.
@@ -69,33 +73,142 @@ def _unit_start(n: int, seed: int, positive: bool) -> np.ndarray:
     return x / float(np.linalg.norm(x))
 
 
+def collatz_wielandt(g: Graph, u: np.ndarray, au: np.ndarray) -> float:
+    """Upper bound on theta1 from a vector u and its product ``au`` = A u.
+
+    For nonnegative A and any u > 0, the Collatz-Wielandt inequality gives
+    theta1 <= max_i (A u)_i / u_i, whether or not u is an eigenvector, and
+    a power step u -> (A + I) u never raises that maximum.  An entry of u
+    that is not positive reads as +inf.  When no edge joins the set Z of
+    those entries to the rest, A is block diagonal over Z and its
+    complement, so theta1 is the larger of the blocks' top eigenvalues: the
+    ratios bound the complement's, and Z's degrees bound Z's, so each entry
+    of Z reads its degree instead.  The result is not capped by the maximum
+    degree: a capped maximum would stop falling under power steps while
+    the ratios below the cap still fall.
+    """
+    positive = u > 0
+    ratios = np.divide(au, u, out=np.full(g.n, np.inf), where=positive)
+    if not positive.all():
+        zero = ~positive
+        if not g.matrix.dot(positive.astype(np.float64))[zero].any():
+            ratios[zero] = g.degrees[zero]
+    return float(ratios.max())
+
+
+def _lopcg(g: Graph, tol: float, max_iters: int):
+    """Phase 1 of ``leading_eigenpair``: (x, theta, passed, matvecs)."""
+    x = _unit_start(g.n, 0, positive=True)
+    ax = g.matrix.dot(x)
+    w = np.empty_like(x)
+    matvecs, exact = 1, True
+    p = ap = None
+    while True:
+        theta = float(x @ ax)
+        np.multiply(x, -theta, out=w)
+        w += ax
+        passed = float(np.linalg.norm(w)) <= tol * max(1.0, abs(theta))
+        if (passed and exact) or matvecs >= max_iters:
+            return x, theta, passed and exact, matvecs
+        matvecs += 1
+        if passed:
+            ax = g.matrix.dot(x)
+            exact = True
+            continue
+        w -= float(x @ w) * x
+        w /= float(np.linalg.norm(w))
+        aw = g.matrix.dot(w)
+        basis, images = [x, w], [ax, aw]
+        if p is not None:
+            for b, ab in zip(basis, images):
+                c = float(b @ p)
+                p -= c * b
+                ap -= c * ab
+            norm = float(np.linalg.norm(p))
+            if norm > 0:
+                p /= norm
+                ap /= norm
+                basis.append(p)
+                images.append(ap)
+        h = np.array([[b @ ab for ab in images] for b in basis])
+        c = np.linalg.eigh((h + h.T) / 2)[1][:, -1]
+        # the new direction is the Ritz vector's part outside x
+        if len(basis) == 2:
+            p, ap = c[1] * w, c[1] * aw
+        else:
+            p *= c[2]
+            p += c[1] * w
+            ap *= c[2]
+            ap += c[1] * aw
+        x *= c[0]
+        x += p
+        ax *= c[0]
+        ax += ap
+        norm = float(np.linalg.norm(x))
+        x /= norm
+        ax /= norm
+        exact = False
+
+
+def _cw_polish(g: Graph, x: np.ndarray, theta: float, tol: float,
+               budget: int):
+    """Phase 2 of ``leading_eigenpair``: (u, theta, passed) from unit x."""
+    u = np.abs(x)
+    au = g.matrix.dot(u)
+    bound = collatz_wielandt(g, u, au)
+    for _ in range(budget - 1):
+        if bound <= theta * (1.0 + tol):
+            break
+        y = au + u
+        y /= float(np.linalg.norm(y))
+        ay = g.matrix.dot(y)
+        next_bound = collatz_wielandt(g, y, ay)
+        if not next_bound < bound:
+            break
+        u, au, bound = y, ay, next_bound
+    theta = float(u @ au)
+    au -= theta * u
+    return u, theta, float(np.linalg.norm(au)) <= tol * max(1.0, abs(theta))
+
+
 def leading_eigenpair(g: Graph, tol: float = CERT_TOL,
                       max_iters: int = CERT_MAX_ITERS) -> PowerResult:
     """Leading (Perron) eigenpair of the adjacency matrix A.
 
-    Power iteration runs on A + I so the target eigenvalue is strictly
-    dominant in magnitude even on bipartite graphs, starting from a
-    seeded positive vector (which always overlaps the nonnegative Perron
-    direction).  Convergence is judged on the eigen-residual
-    ||A u - theta u||, not on the value estimate: the value settles
-    quadratically faster than the vector, and downstream deflation needs
-    the vector itself to be accurate.  The vector is sign-normalized so
-    its largest-magnitude entry is positive.
+    Two phases share one budget of ``max_iters`` products with A:
+
+    1. Locally optimal CG (LOBPCG with block size 1; Knyazev, SIAM J. Sci.
+       Comput. 23(2), 2001) from a seeded positive start, which overlaps
+       the nonnegative Perron direction.  Each step maximizes the Rayleigh
+       quotient over span{x, w, p}: w is the residual A x - theta x and p
+       the previous step's direction, each made orthonormal to the vectors
+       before it.  A step costs one product, A w, since A x and A p are
+       carried by the recurrence.  The stop rule is the eigen-residual
+       test ||A x - theta x|| <= tol * max(1, |theta|), on the vector
+       rather than the value, since deflation downstream needs the vector;
+       a pass on the carried A x, which drifts, is confirmed on an exact
+       product before the phase ends.
+    2. A Collatz-Wielandt polish, only after phase 1 passed and while
+       budget remains: plain power steps on A + I from |x|, until
+       ``collatz_wielandt``'s bound is within theta * (1 + tol) or stops
+       falling.  Each step shrinks every eigencomponent but theta1's, so
+       the noise that phase 1 leaves on components away from theta1's
+       settles on their own Perron vectors, whose ratios lie below theta1.
+       The density bound's sigma1 term reads this vector.
+
+    ``converged`` says that the returned pair passed the residual test on
+    an exact product.  An unconverged result is the best estimate within
+    the budget, not an error.  The vector is sign-normalized so its
+    largest-magnitude entry is positive.  A ``tol`` that is not finite and
+    positive, or a ``max_iters`` below 1, raises ``ValueError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = _unit_start(g.n, 0, positive=True)
-    theta = 0.0
-    converged = False
-    for _ in range(max_iters):
-        y = g.matrix.dot(x) + x
-        ax = y - x  # A x, reusing the shifted product
-        theta = float(x @ ax)
-        residual = float(np.linalg.norm(ax - theta * x))
-        if residual <= tol * max(1.0, abs(theta)):
-            converged = True
-            break
-        x = y / float(np.linalg.norm(y))
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
+    x, theta, converged, matvecs = _lopcg(g, tol, max_iters)
+    if converged and matvecs < max_iters:
+        x, theta, converged = _cw_polish(g, x, theta, tol, max_iters - matvecs)
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     return PowerResult(value=theta, vector=x, converged=converged)
@@ -153,3 +266,4 @@ def top_two_singular_values(g: Graph, tol: float = CERT_TOL,
     if not (lead.converged and converged):
         sigma2 = np.inf
     return max(theta1, 0.0), u1, sigma2
+

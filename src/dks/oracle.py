@@ -178,7 +178,7 @@ def dense_eig(g: Graph):
     """Full symmetric eigendecomposition of the dense adjacency matrix.
 
     Returns (eigenvalues descending, eigenvectors as matching columns).
-    This is the reference the power-iteration estimates are checked
+    This is the reference the iterative eigen-estimates are checked
     against, so it deliberately goes through a dense solver rather than
     any of the sparse iterative paths.
     """

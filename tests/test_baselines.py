@@ -159,17 +159,21 @@ def test_bound_sigma1_term_sound_from_any_positive_vector():
 
 
 def test_bound_tight_when_u1_underflows_on_a_whole_component():
-    # stars K_{1,16} and K_{1,17} and one edge: the converged u1 is exactly 0
-    # on the edge, which no edge joins to the rest, so its ratios read its
-    # degrees and the bound stays theta1 / (k - 1), not the degree cap
+    # stars K_{1,16} and K_{1,17} and one edge.  The default u1 is nearly 0
+    # on the edge; set exactly 0 there (an underflow), the edge is a set that
+    # no edge joins to the rest, so its ratios read its degrees and the bound
+    # stays theta1 / (k - 1), not the degree cap
     edges = ([(0, leaf) for leaf in range(1, 17)]
              + [(17, leaf) for leaf in range(18, 35)] + [(35, 36)])
     g = Graph.from_edges(37, edges)
-    lead = leading_eigenpair(g)
-    assert lead.converged and lead.vector[35] == lead.vector[36] == 0.0
+    s1, u1, s2 = top_two_singular_values(g)
+    underflowed = u1.copy()
+    underflowed[[35, 36]] = 0.0
     theta1 = dense_eig(g)[0][0]
     for k in (6, 10, 18):
         bound = density_upper_bound(g, k)
+        assert theta1 / (k - 1) <= bound <= theta1 / (k - 1) * (1 + 1e-9)
+        bound = density_upper_bound(g, k, eig=(s1, underflowed, s2))
         assert theta1 / (k - 1) <= bound <= theta1 / (k - 1) * (1 + 1e-9)
 
 

@@ -1,14 +1,18 @@
-"""Spectral primitives: loaded matvec, quadratic form, power-iteration estimates."""
+"""Spectral primitives: loaded matvec, quadratic form, eigensolver estimates."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dks import (Graph, leading_eigenpair, loaded_matvec, quadratic_form,
                  spectral_norm, top_two_singular_values)
-from dks.linalg import CERT_MAX_ITERS, CERT_TOL, STEP_MAX_ITERS, STEP_TOL
+from dks.linalg import (CERT_MAX_ITERS, CERT_TOL, STEP_MAX_ITERS, STEP_TOL,
+                        collatz_wielandt)
 from dks.oracle import dense_eig
+from dks.verify import small_graph_family
 
 from conftest import random_graph
 
@@ -161,3 +165,103 @@ def test_eigensolves_default_to_the_certificate_settings():
     assert step.value == loose.value + 0.5
     assert np.array_equal(step.vector, loose.vector)
     assert not np.array_equal(loose.vector, cert.vector)
+
+
+@pytest.mark.parametrize("solve, kwargs, match", [
+    (leading_eigenpair, {"tol": np.nan}, "tol"),
+    (leading_eigenpair, {"tol": np.inf}, "tol"),
+    (leading_eigenpair, {"tol": 0.0}, "tol"),
+    (leading_eigenpair, {"max_iters": 0}, "max_iters"),
+    (leading_eigenpair, {"max_iters": -5}, "max_iters"),
+    (top_two_singular_values, {"tol": np.nan}, "tol"),
+    (top_two_singular_values, {"max_iters": 0}, "max_iters"),
+], ids=["nan-tol", "inf-tol", "zero-tol", "zero-iters", "negative-iters",
+        "top-two-nan-tol", "top-two-zero-iters"])
+def test_eigensolves_reject_bad_settings(triangle, solve, kwargs, match):
+    # a NaN tol used to run the whole budget, an infinite one to stop after
+    # one step at a wrong value, and a budget below 1 to return theta = 0
+    with pytest.raises(ValueError, match=match):
+        solve(triangle, **kwargs)
+
+
+def _two_stars():
+    # K_{1,50} beside K_{1,49}: theta1 = sqrt 50 sits just above sqrt 49
+    return Graph.from_edges(101, [(0, leaf) for leaf in range(1, 51)]
+                            + [(51, leaf) for leaf in range(52, 101)])
+
+
+def _clique_beside_hub():
+    # a 12-clique (lambda 11) beside a degree-130 hub (theta1 = sqrt 130)
+    return Graph.from_edges(2000, [(i, j) for i in range(12) for j in range(i + 1, 12)]
+                            + [(12, leaf) for leaf in range(13, 143)])
+
+
+def _underflow_repro():
+    # K_{1,16}, K_{1,17} and one edge, on which the plain power loop underflowed
+    return Graph.from_edges(37, [(0, leaf) for leaf in range(1, 17)]
+                            + [(17, leaf) for leaf in range(18, 35)] + [(35, 36)])
+
+
+def test_perron_pair_is_tight_under_collatz_wielandt(two_triangles):
+    # The polished u1 reads theta1 back through the bound's sigma1 term, on
+    # disconnected graphs too, where noise on the other components used to
+    # send the term to the degree cap
+    k4_p5 = Graph.from_edges(9, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+                             + [(i, i + 1) for i in range(4, 8)])
+    rng = np.random.default_rng(29)
+    graphs = [g for _, g in small_graph_family(seed=0, random_count=30)]
+    graphs += [random_graph(int(rng.integers(2, 40)), float(rng.uniform(0.02, 0.5)), rng)
+               for _ in range(40)]
+    graphs += [_underflow_repro(), two_triangles, k4_p5, _two_stars()]
+    for g in graphs:
+        lead = leading_eigenpair(g)
+        theta1 = np.linalg.eigvalsh(g.matrix.toarray())[-1]
+        assert lead.converged
+        assert lead.value == pytest.approx(theta1, abs=1e-10)
+        cw = collatz_wielandt(g, lead.vector, g.matrix.dot(lead.vector))
+        assert cw <= lead.value * (1 + 1e-10)
+
+
+def _counted(g):
+    """``g`` with an adjacency matrix that counts its products in ``calls``."""
+    class Counting(scipy.sparse.csr_matrix):
+        calls = 0
+
+        def dot(self, other):
+            Counting.calls += 1
+            return super().dot(other)
+
+    return dataclasses.replace(g, matrix=Counting(g.matrix))
+
+
+@pytest.mark.parametrize("make, theta1", [(_two_stars, np.sqrt(50)),
+                                          (_clique_beside_hub, np.sqrt(130))],
+                         ids=["two-stars", "clique-hub"])
+def test_leading_eigenpair_matvec_count(make, theta1):
+    # small spectral gaps: the plain power loop took 2 602 and 709 products
+    g = _counted(make())
+    lead = leading_eigenpair(g)
+    assert lead.converged and g.matrix.calls <= 60
+    assert lead.value == pytest.approx(theta1, abs=1e-10)
+    # LOPCG and the polish share the budget, counted in products
+    for budget in (1, 2, 3, 5, g.matrix.calls - 1, g.matrix.calls):
+        h = _counted(make())
+        capped = leading_eigenpair(h, max_iters=budget)
+        assert h.matrix.calls <= budget
+        assert capped.converged == (budget > 5)
+
+
+def test_leading_eigenpair_memory_is_a_fixed_handful_of_vectors():
+    # LOPCG holds x, w, p and their products; the plain power loop held 5
+    rng = np.random.default_rng(13)
+    n = 10_000
+    g = Graph.from_edges(n, rng.integers(0, n, size=(50_000, 2)))
+    leading_eigenpair(g)  # first calls may cache allocations
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        leading_eigenpair(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * n) <= 7.5
