@@ -5,7 +5,9 @@ arrays the solvers walk are that matrix's own.  Graphs are immutable after
 construction: loaders and constructors remove self-loops, merge parallel
 edges, symmetrize directed input, and compact vertex ids to 0..n-1 in
 first-appearance order.  The original labels are kept so results can be
-reported in the input's id space.
+reported in the input's id space.  An edge list of at least 1 MiB keeps its
+parsed arrays in a content-hashed sidecar file beside it, which later loads
+of the same bytes read instead of parsing (see ``load_edge_list``).
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from __future__ import annotations
 import bz2
 import contextlib
 import gzip
+import hashlib
 import lzma
 import os
 import re
+import stat
+import tempfile
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -34,12 +39,20 @@ _EXPECTED_IDS = {1: "one vertex id", 2: "two vertex ids"}
 _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
 # Bytes per read of the '#'-after-data guard, which holds about one block
 # at a time, never the whole file.  On the benchmark's files 64 KiB blocks
-# scanned faster than 1 MiB ones and left the load a lower peak RSS.
+# scanned faster than 1 MiB ones and left the load a lower peak RSS.  The
+# sidecar's hash reads by the same blocks, as fast as by 1 MiB ones.
 _TEXT_BLOCK = 1 << 16
 # Elements per slice of the loader's in-place passes: large enough that
 # numpy's per-call cost does not show, small enough that no pass allocates
 # a temporary the size of its buffer.
 _CHUNK = 1 << 14
+# An edge-list file of at least this many bytes keeps its parsed CSR arrays
+# in a sidecar beside it (see load_edge_list).  Below it a parse is cheap,
+# and a directory of small files gains no hidden copies.
+_SIDECAR_MIN_BYTES = 1 << 20
+# Raised whenever the sidecar's arrays or their meaning change, so an old
+# sidecar reads as a miss.
+_SIDECAR_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,26 @@ def load_edge_list(path) -> Graph:
     those ids and sorts them in place, and the buffer is freed before the
     matrix's data is allocated.  The peak, set by compaction, is about twice
     the parsed array.
+
+    A regular file of at least ``_SIDECAR_MIN_BYTES`` keeps what its parse
+    built in a hidden sidecar beside it, ``.<name>.dks.npz``: an
+    uncompressed npz of a format number, the SHA-256 of the file's raw
+    bytes, and the CSR ``indptr`` and ``indices`` and ``original_ids``.  A
+    later load hashes the file and, when the digest and the format number
+    match and the arrays' shapes and dtypes check out, builds the same graph
+    from those arrays without parsing.  Anything else (no sidecar, one that
+    cannot be read, any mismatch) is a miss: the file is parsed and the
+    sidecar replaced, by a temp file in the same directory and a rename.  A
+    load that fails writes nothing, a write that fails is skipped silently,
+    and a file whose size or mtime changed during the load is not cached.
+    Deleting a sidecar is always safe.
     """
+    key = _cache_key(path)
+    if key is not None:
+        before, digest, sidecar = key
+        g = _cached_graph(sidecar, digest)
+        if g is not None:
+            return g
     ids = _read_ids(path, 2).reshape(-1)
     if not len(ids):
         raise ValueError(f"{path}: no edges found")
@@ -155,8 +187,109 @@ def load_edge_list(path) -> Graph:
     n = len(labels)
     indices, row_offsets = _arcs_in_place(n, ids)
     del ids  # before the matrix's data is allocated
-    return Graph(n=n, m=len(indices) // 2, matrix=_csr(n, indices, row_offsets),
-                 original_ids=labels)
+    g = Graph(n=n, m=len(indices) // 2, matrix=_csr(n, indices, row_offsets),
+              original_ids=labels)
+    if key is not None and _signature(_regular_stat(path)) == _signature(before):
+        # The sidecar is as readable as its input, as a .pyc is as its source.
+        _write_sidecar(sidecar, stat.S_IMODE(before.st_mode) & 0o666,
+                       format=np.int64(_SIDECAR_FORMAT),
+                       sha256=np.frombuffer(digest, dtype=np.uint8),
+                       indptr=g.row_offsets, indices=g.neighbors, original_ids=labels)
+    return g
+
+
+def _regular_stat(path):
+    """``os.stat(path)`` if it names a regular file, else None."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st if stat.S_ISREG(st.st_mode) else None
+
+
+def _signature(st):
+    """What tells a file rewritten since ``st`` was taken, short of its bytes."""
+    return None if st is None else (st.st_size, st.st_mtime_ns)
+
+
+def _cache_key(path):
+    """(stat, SHA-256 digest, sidecar path) of a file the sidecar serves, else None.
+
+    The stat is taken before the hash, so that the caller can tell a file
+    rewritten since.  A file that cannot be read here is left to the parse,
+    which reports it as it would without the cache.
+    """
+    before = _regular_stat(path)
+    if before is None or before.st_size < _SIDECAR_MIN_BYTES:
+        return None
+    digest = hashlib.sha256()
+    block = bytearray(_TEXT_BLOCK)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            while size := fh.readinto(block):
+                digest.update(memoryview(block)[:size])
+    except OSError:
+        return None
+    head, tail = os.path.split(os.fsdecode(path))
+    return before, digest.digest(), os.path.join(head, f".{tail}.dks.npz")
+
+
+def _cached_graph(sidecar: str, digest: bytes):
+    """The graph stored in ``sidecar`` for input bytes of this digest, or None.
+
+    None on any read error and any mismatch.  zipfile checks each member's
+    CRC as it reads, so a sidecar damaged after it was written is a miss too.
+    A damaged zip or npy header can raise almost anything from zipfile or
+    numpy's header parser (NotImplementedError for an unknown compression
+    method, tokenize.TokenError), and a file that is no zip at all loads as
+    one array that is no context manager, so every Exception counts as a
+    miss: the parse that follows is always right.
+    """
+    try:
+        # Opened here, not by np.load, which leaves its file open when the
+        # zip directory cannot be read.
+        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            fmt = z["format"]
+            if fmt.dtype != np.int64 or fmt.shape != () or fmt != _SIDECAR_FORMAT:
+                return None
+            if z["sha256"].tobytes() != digest:
+                return None
+            indptr, indices, labels = z["indptr"], z["indices"], z["original_ids"]
+    except Exception:  # noqa: BLE001 - see the docstring
+        return None
+    n, arcs = labels.size, indices.size
+    if not (labels.shape == (n,) and indptr.shape == (n + 1,) and indices.shape == (arcs,)
+            and n >= 1 and arcs % 2 == 0 and labels.dtype == np.int64
+            and indptr.dtype == indices.dtype == _index_dtype(n, arcs)
+            and indptr[0] == 0 and indptr[-1] == arcs):
+        return None
+    return Graph(n=n, m=arcs // 2, matrix=_csr(n, indices, indptr), original_ids=labels)
+
+
+def _write_sidecar(sidecar: str, mode: int, **arrays) -> None:
+    """Write ``arrays`` as an uncompressed npz at ``sidecar`` with permission
+    bits ``mode``, or write nothing.
+
+    The arrays go to a temp file in the sidecar's directory, which one
+    rename puts in place, so a reader sees a whole sidecar or none.  The
+    cache only saves time, so an OSError skips the write without a word and
+    leaves no temp file behind.
+    """
+    head, tail = os.path.split(sidecar)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=tail, suffix=".tmp", dir=head or os.curdir)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.chmod(tmp, mode)
+        os.replace(tmp, sidecar)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)  # already gone after the rename
 
 
 def load_selection_file(path) -> list:
@@ -320,14 +453,18 @@ def _arcs_in_place(n: int, ids: np.ndarray):
     arcs = ids[:kept]
     # Source i's arcs are the kept keys in [i*n, (i+1)*n).
     row_offsets = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
-    fits = max(n, kept) <= np.iinfo(np.int32).max
-    columns = np.empty(kept, dtype=np.int32 if fits else np.int64)
+    columns = np.empty(kept, dtype=_index_dtype(n, kept))
     for s in range(0, kept, _CHUNK):
         part = arcs[s:s + _CHUNK]
         source = part // n
         source *= n
         np.subtract(part, source, out=columns[s:s + _CHUNK], casting="unsafe")
     return columns, row_offsets
+
+
+def _index_dtype(n: int, arcs: int):
+    """The CSR index dtype scipy keeps for n vertices and ``arcs`` arcs."""
+    return np.int32 if max(n, arcs) <= np.iinfo(np.int32).max else np.int64
 
 
 def _csr(n: int, indices: np.ndarray, row_offsets: np.ndarray) -> scipy.sparse.csr_matrix:

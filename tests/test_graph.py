@@ -3,9 +3,12 @@
 import bz2
 import gzip
 import io
+import json
 import lzma
+import os
 import random
 import re
+import tempfile
 import tracemalloc
 import warnings
 
@@ -16,6 +19,7 @@ import dks.graph as graph_module
 from dks import (Graph, ProblemInstance, density_upper_bound, exact_dks,
                  greedy_feige, load_edge_list, project_capped_simplex,
                  rank1_lrbo, run_sweep, top_k_indices)
+from dks.cli import main
 from dks.graph import induced_edge_count
 
 from conftest import random_graph
@@ -455,6 +459,260 @@ def test_load_edge_list_rejects_int_via_float_fallback(tmp_path, monkeypatch):
         path.write_text(f"0 1\n{line}\n")
         with pytest.raises(ValueError, match=rf"g\.txt:2: {message}"):
             load_edge_list(path)
+
+
+# Lines of the files below that are over the sidecar threshold.
+OVER_THRESHOLD_LINES = graph_module._SIDECAR_MIN_BYTES // 18
+
+
+def write_over_threshold(path, seed, pool=3000):
+    """A seeded edge list of int64 labels whose file is over the sidecar
+    threshold; its lines draw from ``pool`` labels, or from all of int64
+    when ``pool`` is None, which keeps a gzipped file that large too."""
+    rng = np.random.default_rng(seed)
+    shape = (OVER_THRESHOLD_LINES, 2)
+    if pool is None:
+        pairs = rng.integers(-(2**63), 2**63 - 1, size=shape, endpoint=True)
+    else:
+        pairs = rng.choice(10**15, size=pool, replace=False)[rng.integers(0, pool, shape)]
+    text = "".join(f"{a} {b}\n" for a, b in pairs.tolist()).encode()
+    path.write_bytes(gzip.compress(text) if path.suffix == ".gz" else text)
+    assert path.stat().st_size >= graph_module._SIDECAR_MIN_BYTES
+    return path
+
+
+def sidecar_of(path):
+    return path.with_name(f".{path.name}.dks.npz")
+
+
+def parsed(path, monkeypatch):
+    """The graph of ``path`` from a parse, with the sidecar out of play."""
+    with monkeypatch.context() as m:
+        m.setattr(graph_module, "_SIDECAR_MIN_BYTES", float("inf"))
+        return load_edge_list(path)
+
+
+def warm(path, monkeypatch):
+    """``load_edge_list(path)``, failing the test if it parses the file."""
+    def no_parse(*args):
+        raise AssertionError("the load parsed the file")
+
+    with monkeypatch.context() as m:
+        m.setattr(graph_module, "_read_ids", no_parse)
+        return load_edge_list(path)
+
+
+@pytest.mark.parametrize("name, pool", [("g.txt", 3000), ("g.txt.gz", None)],
+                         ids=["plain", "gz"])
+def test_warm_load_equals_cold(tmp_path, monkeypatch, name, pool):
+    # A load of a file over the threshold leaves its CSR arrays in a sidecar,
+    # and the next load builds the graph from them without a parse: the same
+    # values and dtypes, with the index arrays still the matrix's own.
+    path = write_over_threshold(tmp_path / name, 1, pool)
+    cold = load_edge_list(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, sidecar_of(path).name])
+    hot = warm(path, monkeypatch)
+    assert_same_graph(hot, cold)
+    assert hot.matrix.indptr.dtype == cold.matrix.indptr.dtype == np.int32
+    assert np.shares_memory(hot.row_offsets, hot.matrix.indptr)
+    assert np.shares_memory(hot.neighbors, hot.matrix.indices)
+    assert np.array_equal(hot.matrix.data, cold.matrix.data)
+    assert hot.matrix.data.dtype == np.float64
+    assert_same_graph(cold, parsed(path, monkeypatch))
+
+
+def test_cli_prints_the_same_warm_and_cold(tmp_path, capsys):
+    path = write_over_threshold(tmp_path / "g.txt", 2)
+    g = load_edge_list(path)
+    sidecar_of(path).unlink()
+    selection = tmp_path / "sel.txt"
+    selection.write_text("".join(f"{x}\n" for x in g.original_ids[:8].tolist()))
+    commands = {"solve": ["solve", "--graph", str(path), "--k", "10", "--output", "json"],
+                "score": ["score", "--graph", str(path), "--selection", str(selection),
+                          "--output", "json"]}
+    for name, argv in commands.items():
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("wall_time_s", None)
+            outputs.append(payload)
+            assert sidecar_of(path).exists()
+        assert outputs[0] == outputs[1], name
+        sidecar_of(path).unlink()
+
+
+def test_file_rewritten_at_same_size_and_mtime_is_reloaded(tmp_path, monkeypatch):
+    # The sidecar trusts the file's bytes, not its size and mtime.
+    path = write_over_threshold(tmp_path / "g.txt", 3)
+    old = load_edge_list(path)
+    st = path.stat()
+    text = path.read_bytes()
+    first, rest = text.split(b"\n", 1)
+    a, b = first.split()
+    new_text = b" ".join([b"9" * len(a), b"8" * len(b)]) + b"\n" + rest
+    assert len(new_text) == len(text)
+    path.write_bytes(new_text)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    new = load_edge_list(path)
+    assert new.original_ids[:2].tolist() == [int(b"9" * len(a)), int(b"8" * len(b))]
+    assert new.original_ids.tolist() != old.original_ids.tolist()
+    assert_same_graph(new, parsed(path, monkeypatch))
+    assert_same_graph(warm(path, monkeypatch), new)  # the sidecar was replaced
+
+
+def _stored(sidecar):
+    with np.load(sidecar) as z:
+        return {name: z[name] for name in z.files}
+
+
+def _write_npy(sidecar, array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    sidecar.write_bytes(buf.getvalue())
+
+
+def _rewrite_sidecar(sidecar, **changes):
+    arrays = {**_stored(sidecar), **changes}
+    with open(sidecar, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda s, other: s.write_bytes(s.read_bytes()[:len(s.read_bytes()) // 2]),
+    lambda s, other: s.write_bytes(np.random.default_rng(0).bytes(4096)),
+    lambda s, other: s.write_bytes(b"PK\x03\x04" + bytes(100)),
+    lambda s, other: s.write_bytes(b""),
+    lambda s, other: _write_npy(s, other["indices"]),
+    lambda s, other: _rewrite_sidecar(s, **other, sha256=np.zeros(32, np.uint8)),
+    lambda s, other: _rewrite_sidecar(s, **other, format=np.int64(2)),
+    lambda s, other: _rewrite_sidecar(s, original_ids=_stored(s)["original_ids"] + 0.0),
+    lambda s, other: _rewrite_sidecar(s, original_ids=other["original_ids"][:-1]),
+    lambda s, other: _rewrite_sidecar(s, indices=other["indices"][:-2]),
+], ids=["truncated", "garbage", "zip-magic-then-zeros", "empty", "npy", "wrong-digest",
+        "other-format", "wrong-dtype", "wrong-shape", "wrong-length"])
+def test_bad_sidecar_is_ignored_and_replaced(tmp_path, monkeypatch, damage):
+    # Each damaged sidecar is a miss: the load parses the file, never raises,
+    # and leaves a good sidecar.  The wrong-digest and other-format sidecars
+    # hold another graph's arrays, so taking them would show.
+    path = write_over_threshold(tmp_path / "g.txt", 4)
+    other_path = write_over_threshold(tmp_path / "other.txt", 5)
+    g = load_edge_list(path)
+    other = load_edge_list(other_path)
+    other = {"indptr": other.row_offsets, "indices": other.neighbors,
+             "original_ids": other.original_ids}
+    damage(sidecar_of(path), other)
+    assert_same_graph(load_edge_list(path), g)
+    assert_same_graph(warm(path, monkeypatch), g)
+
+
+def test_sidecar_that_is_a_directory_is_a_miss(tmp_path):
+    path = write_over_threshold(tmp_path / "g.txt", 6)
+    sidecar_of(path).mkdir()
+    g = load_edge_list(path)
+    assert_same_graph(load_edge_list(path), g)
+    assert sidecar_of(path).is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["g.txt", sidecar_of(path).name])
+
+
+def _truncated_gz(path):
+    write_over_threshold(path, 7, None)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 1000])
+
+
+@pytest.mark.parametrize("name, make, error, message", [
+    ("bad.txt", lambda p: p.write_bytes(write_over_threshold(p, 8).read_bytes() + b"1 2 3\n"),
+     ValueError, "{path}:{lines}: expected two vertex ids, got 3 tokens"),
+    ("bad.txt", lambda p: p.write_bytes(write_over_threshold(p, 8).read_bytes() + b"1 2 # x\n"),
+     ValueError, "{path}:{lines}: expected two vertex ids, got 4 tokens"),
+    ("bad.txt.gz", _truncated_gz,
+     OSError, "{path}: Compressed file ended before the end-of-stream marker was reached"),
+], ids=["bad-line", "comment-after-data", "truncated-gz"])
+def test_failed_load_writes_no_sidecar(tmp_path, name, make, error, message):
+    path = tmp_path / name
+    make(path)
+    with pytest.raises(error) as exc:
+        load_edge_list(path)
+    assert str(exc.value) == message.format(path=path, lines=OVER_THRESHOLD_LINES + 1)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def _refuse_write(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target", [(tempfile, "mkstemp"), (os, "replace")],
+                         ids=["temp-file", "rename"])
+def test_sidecar_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, target):
+    # The load still returns the graph, says nothing, and leaves no file.
+    path = write_over_threshold(tmp_path / "g.txt", 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with monkeypatch.context() as m:
+            m.setattr(*target, _refuse_write)
+            g = load_edge_list(path)
+    assert_same_graph(g, parsed(path, monkeypatch))
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+def test_file_changed_during_the_load_is_not_cached(tmp_path, monkeypatch):
+    # The stat taken before the hash must still hold after the parse.
+    path = write_over_threshold(tmp_path / "g.txt", 10)
+    real = graph_module._read_ids
+
+    def touching_read_ids(*args):
+        ids = real(*args)
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+        return ids
+
+    monkeypatch.setattr(graph_module, "_read_ids", touching_read_ids)
+    load_edge_list(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+def test_sidecar_starts_at_the_threshold(tmp_path):
+    # A file one byte below the threshold is parsed on every load and gets
+    # no sidecar; at the threshold it gets one.  So the small files of the
+    # grammar and block-boundary tests above are parsed on every load.
+    limit = graph_module._SIDECAR_MIN_BYTES
+    head = b"10 20\n20 30\n30 10\n"
+    for size, cached in ((limit - 1, False), (limit, True)):
+        path = tmp_path / f"{size}.txt"
+        path.write_bytes(head + b"#" * (size - len(head) - 1) + b"\n")
+        assert path.stat().st_size == size
+        for _ in range(2):
+            assert load_edge_list(path).original_ids.tolist() == [10, 20, 30]
+        assert sidecar_of(path).exists() == cached
+
+
+def test_sidecar_keeps_the_input_permissions(tmp_path):
+    path = write_over_threshold(tmp_path / "g.txt", 11)
+    path.chmod(0o640)
+    load_edge_list(path)
+    assert sidecar_of(path).stat().st_mode & 0o777 == 0o640
+
+
+def test_warm_load_peak_memory(tmp_path):
+    # A warm load reads the sidecar's arrays a slice at a time into the
+    # graph's own arrays: beside the graph it holds no parse-sized buffer
+    # (the parse's is 16 B per line).  Measured: 10 kB above the graph's
+    # 1.6 MB, where the bound allows 1 B per line, 58 kB.
+    path = write_over_threshold(tmp_path / "g.txt", 12, pool=20_000)
+    load_edge_list(path)  # cold: parse and write the sidecar
+    assert sidecar_of(path).exists()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        g = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    graph_bytes = sum(a.nbytes for a in (g.matrix.indptr, g.matrix.indices,
+                                         g.matrix.data, g.original_ids))
+    assert peak <= graph_bytes + OVER_THRESHOLD_LINES
 
 
 def test_index_of_unknown_label(triangle):
