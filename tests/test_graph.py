@@ -8,6 +8,7 @@ import lzma
 import os
 import random
 import re
+import signal
 import tempfile
 import tracemalloc
 import warnings
@@ -465,12 +466,12 @@ def test_load_edge_list_rejects_int_via_float_fallback(tmp_path, monkeypatch):
 OVER_THRESHOLD_LINES = graph_module._SIDECAR_MIN_BYTES // 18
 
 
-def write_over_threshold(path, seed, pool=3000):
+def write_over_threshold(path, seed, pool=3000, lines=OVER_THRESHOLD_LINES):
     """A seeded edge list of int64 labels whose file is over the sidecar
     threshold; its lines draw from ``pool`` labels, or from all of int64
     when ``pool`` is None, which keeps a gzipped file that large too."""
     rng = np.random.default_rng(seed)
-    shape = (OVER_THRESHOLD_LINES, 2)
+    shape = (lines, 2)
     if pool is None:
         pairs = rng.integers(-(2**63), 2**63 - 1, size=shape, endpoint=True)
     else:
@@ -573,6 +574,12 @@ def _write_npy(sidecar, array):
     sidecar.write_bytes(buf.getvalue())
 
 
+def _with(array, i, value):
+    array = array.copy()
+    array[i] = value
+    return array
+
+
 def _rewrite_sidecar(sidecar, **changes):
     arrays = {**_stored(sidecar), **changes}
     with open(sidecar, "wb") as fh:
@@ -590,12 +597,19 @@ def _rewrite_sidecar(sidecar, **changes):
     lambda s, other: _rewrite_sidecar(s, original_ids=_stored(s)["original_ids"] + 0.0),
     lambda s, other: _rewrite_sidecar(s, original_ids=other["original_ids"][:-1]),
     lambda s, other: _rewrite_sidecar(s, indices=other["indices"][:-2]),
+    lambda s, other: _rewrite_sidecar(s, indices=_with(_stored(s)["indices"], 0, 10**6)),
+    lambda s, other: _rewrite_sidecar(s, indices=_with(_stored(s)["indices"], -1, -1)),
+    lambda s, other: _rewrite_sidecar(s, indptr=_with(_stored(s)["indptr"], 1, 10**4)),
 ], ids=["truncated", "garbage", "zip-magic-then-zeros", "empty", "npy", "wrong-digest",
-        "other-format", "wrong-dtype", "wrong-shape", "wrong-length"])
+        "other-format", "wrong-dtype", "wrong-shape", "wrong-length", "index-past-n",
+        "negative-index", "falling-indptr"])
 def test_bad_sidecar_is_ignored_and_replaced(tmp_path, monkeypatch, damage):
     # Each damaged sidecar is a miss: the load parses the file, never raises,
     # and leaves a good sidecar.  The wrong-digest and other-format sidecars
-    # hold another graph's arrays, so taking them would show.
+    # hold another graph's arrays, so taking them would show.  The last three
+    # keep the right digest, shapes and dtypes, with one index past n, one
+    # below 0, or an indptr that falls after its first row (n = 3000, and
+    # 2m is above 10**4).
     path = write_over_threshold(tmp_path / "g.txt", 4)
     other_path = write_over_threshold(tmp_path / "other.txt", 5)
     g = load_edge_list(path)
@@ -614,6 +628,28 @@ def test_sidecar_that_is_a_directory_is_a_miss(tmp_path):
     assert_same_graph(load_edge_list(path), g)
     assert sidecar_of(path).is_dir()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["g.txt", sidecar_of(path).name])
+
+
+def test_sidecar_that_is_a_fifo_is_a_miss(tmp_path, monkeypatch):
+    # Opening a FIFO for reading waits for a writer; the load must not.
+    path = write_over_threshold(tmp_path / "g.txt", 6)
+    os.mkfifo(sidecar_of(path))
+
+    class Blocked(BaseException):
+        """Not an Exception, so the sidecar read cannot take it for a miss."""
+
+    def stuck(*args):
+        raise Blocked("the load blocked on the FIFO")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        g = load_edge_list(path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_same_graph(g, parsed(path, monkeypatch))
+    assert_same_graph(warm(path, monkeypatch), g)  # the FIFO was replaced
 
 
 def _truncated_gz(path):
@@ -700,7 +736,8 @@ def test_warm_load_peak_memory(tmp_path):
     # graph's own arrays: beside the graph it holds no parse-sized buffer
     # (the parse's is 16 B per line).  Measured: 10 kB above the graph's
     # 1.6 MB, where the bound allows 1 B per line, 58 kB.
-    path = write_over_threshold(tmp_path / "g.txt", 12, pool=20_000)
+    lines = 58_254
+    path = write_over_threshold(tmp_path / "g.txt", 12, pool=20_000, lines=lines)
     load_edge_list(path)  # cold: parse and write the sidecar
     assert sidecar_of(path).exists()
     tracemalloc.start()
@@ -712,7 +749,7 @@ def test_warm_load_peak_memory(tmp_path):
         tracemalloc.stop()
     graph_bytes = sum(a.nbytes for a in (g.matrix.indptr, g.matrix.indices,
                                          g.matrix.data, g.original_ids))
-    assert peak <= graph_bytes + OVER_THRESHOLD_LINES
+    assert peak <= graph_bytes + lines
 
 
 def test_index_of_unknown_label(triangle):
