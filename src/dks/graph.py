@@ -177,8 +177,8 @@ def load_edge_list(path) -> Graph:
     parsed and the sidecar replaced, by a temp file in the same directory
     and a rename.  A load that fails writes nothing, a write that fails is
     skipped silently, and a file whose size or mtime changed during the load
-    is not cached.
-    Deleting a sidecar is always safe.
+    is not cached.  A file with no sidecar in a directory the process cannot
+    write is parsed without the hash.  Deleting a sidecar is always safe.
     """
     key = _cache_key(path)
     if key is not None:
@@ -228,6 +228,11 @@ def _cache_key(path):
     before = _regular_stat(path)
     if before is None or before.st_size < _SIDECAR_MIN_BYTES:
         return None
+    head, tail = os.path.split(os.fsdecode(path))
+    sidecar = os.path.join(head, f".{tail}.dks.npz")
+    # With no sidecar to read and none that can be written, the hash buys nothing.
+    if not os.path.exists(sidecar) and not os.access(head or os.curdir, os.W_OK):
+        return None
     digest = hashlib.sha256()
     block = bytearray(_TEXT_BLOCK)
     try:
@@ -236,8 +241,7 @@ def _cache_key(path):
                 digest.update(memoryview(block)[:size])
     except OSError:
         return None
-    head, tail = os.path.split(os.fsdecode(path))
-    return before, digest.digest(), os.path.join(head, f".{tail}.dks.npz")
+    return before, digest.digest(), sidecar
 
 
 def _cached_graph(sidecar: str, digest: bytes):

@@ -6,8 +6,9 @@ iterative estimates of the spectral quantities the solvers and the
 density bound need.  One eigensolve finds the Perron pair (theta1, u1) of
 A: locally optimal CG to the residual tolerance, then a Collatz-Wielandt
 polish by power steps on A + I, both within one budget of products with
-A.  The spectral norm of A + loading*I is read off that pair, and a
-deflated power iteration gives the second singular value.
+A.  The spectral norm of A + loading*I is read off that pair, and the same
+locally optimal CG on the squared deflated operator gives the second
+singular value.
 ``collatz_wielandt`` is the one place the bound max_i (A u)_i / u_i on
 theta1 is read, for the polish and for the density bound.
 """
@@ -96,10 +97,10 @@ def collatz_wielandt(g: Graph, u: np.ndarray, au: np.ndarray) -> float:
     return float(ratios.max())
 
 
-def _lopcg(g: Graph, tol: float, max_iters: int):
-    """Phase 1 of ``leading_eigenpair``: (x, theta, passed, matvecs)."""
-    x = _unit_start(g.n, 0, positive=True)
-    ax = g.matrix.dot(x)
+def _lopcg(op, x: np.ndarray, tol: float, max_iters: int):
+    """Locally optimal CG on the symmetric operator ``op`` from unit ``x``
+    (see ``leading_eigenpair``): (x, theta, passed, calls of ``op``)."""
+    ax = op(x)
     w = np.empty_like(x)
     matvecs, exact = 1, True
     p = ap = None
@@ -112,12 +113,12 @@ def _lopcg(g: Graph, tol: float, max_iters: int):
             return x, theta, passed and exact, matvecs
         matvecs += 1
         if passed:
-            ax = g.matrix.dot(x)
+            ax = op(x)
             exact = True
             continue
         w -= float(x @ w) * x
         w /= float(np.linalg.norm(w))
-        aw = g.matrix.dot(w)
+        aw = op(w)
         basis, images = [x, w], [ax, aw]
         if p is not None:
             for b, ab in zip(basis, images):
@@ -206,7 +207,8 @@ def leading_eigenpair(g: Graph, tol: float = CERT_TOL,
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
-    x, theta, converged, matvecs = _lopcg(g, tol, max_iters)
+    x, theta, converged, matvecs = _lopcg(
+        g.matrix.dot, _unit_start(g.n, 0, positive=True), tol, max_iters)
     if converged and matvecs < max_iters:
         x, theta, converged = _cw_polish(g, x, theta, tol, max_iters - matvecs)
     if x[np.argmax(np.abs(x))] < 0:
@@ -233,37 +235,31 @@ def top_two_singular_values(g: Graph, tol: float = CERT_TOL,
     """(sigma1, u1, sigma2) of the adjacency matrix A.
 
     sigma1 and u1 come from the leading eigenpair (for a nonnegative
-    symmetric matrix the top singular value is the Perron eigenvalue);
+    symmetric matrix the top singular value is the Perron eigenvalue).
     sigma2 is the spectral norm of the deflated operator
-    M: x -> Ax - theta1 * u1 (u1^T x), estimated by a second power
-    iteration.  Its estimate at step t is ||M x_t|| for the unit iterate
-    x_t; for symmetric M this sequence is nondecreasing and converges to
-    the spectral norm even when the deflated spectrum's extremes are a
-    +/- pair (where a Rayleigh quotient would stall).  Its start is drawn
-    independently of the Perron start: from the same start, the part of
-    a repeated top eigenvalue's eigenspace that the start covers would be
-    exactly the part the deflation removes.  That start is generic, so a
-    zero product means M is zero.  sigma2 is inf when either iteration
-    stops unconverged, since an unconverged estimate may lie below the
-    true value.
+    M: x -> Ax - theta1 * u1 (u1^T x), read as sqrt(rho) for the top
+    eigenvalue rho of M^2, by ``_lopcg`` as for the Perron pair.  M^2 is
+    positive semidefinite, so both ends of M's spectrum, a +/- pair
+    included, meet at its top.  A step costs two products with A, within
+    a budget of ``max_iters`` of them.  The start is drawn independently
+    of the Perron start: from the same start, the part of a repeated top
+    eigenvalue's eigenspace that the start covers would be exactly the
+    part the deflation removes.  sigma2 is inf when either solve stops
+    unconverged, since an unconverged estimate may lie below the truth.
     """
     lead = leading_eigenpair(g, tol=tol, max_iters=max_iters)
     theta1, u1 = lead.value, lead.vector
-    x = _unit_start(g.n, 1, positive=False)
-    sigma2, prev = 0.0, None
-    converged = False
-    for _ in range(max_iters):
-        y = g.matrix.dot(x) - theta1 * u1 * float(u1 @ x)
-        sigma2 = float(np.linalg.norm(y))
-        if sigma2 == 0.0:
-            converged = True
-            break
-        x = y / sigma2
-        if prev is not None and abs(sigma2 - prev) <= tol * max(1.0, sigma2):
-            converged = True
-            break
-        prev = sigma2
-    if not (lead.converged and converged):
-        sigma2 = np.inf
-    return max(theta1, 0.0), u1, sigma2
 
+    def deflated(x):
+        y = g.matrix.dot(x)
+        y -= (theta1 * float(u1 @ x)) * u1
+        return y
+
+    sigma2 = np.inf
+    if lead.converged and max_iters >= 2:
+        _, rho, converged, _ = _lopcg(lambda x: deflated(deflated(x)),
+                                      _unit_start(g.n, 1, positive=False),
+                                      tol, max_iters // 2)
+        if converged:
+            sigma2 = float(np.sqrt(max(rho, 0.0)))
+    return max(theta1, 0.0), u1, sigma2

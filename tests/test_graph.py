@@ -2,6 +2,7 @@
 
 import bz2
 import gzip
+import hashlib
 import io
 import json
 import lzma
@@ -691,6 +692,36 @@ def test_sidecar_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, target
             g = load_edge_list(path)
     assert_same_graph(g, parsed(path, monkeypatch))
     assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+def test_unwritable_directory_without_a_sidecar_skips_the_hash(tmp_path, monkeypatch):
+    # With no sidecar to read and none that can be written, a load is the
+    # parse alone: it neither hashes the file nor writes beside it.  A
+    # sidecar already there is still hashed and read.
+    path = write_over_threshold(tmp_path / "g.txt", 13)
+    want = parsed(path, monkeypatch)
+
+    def no_hash(*args, **kwargs):
+        raise AssertionError("the load hashed the file")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "access", lambda *args, **kwargs: False)
+        m.setattr(hashlib, "sha256", no_hash)
+        assert_same_graph(load_edge_list(path), want)
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+    load_edge_list(path)  # writable again: parse and write the sidecar
+    hashes = []
+    real = hashlib.sha256
+
+    def counted_hash(*args, **kwargs):
+        hashes.append(args)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "access", lambda *args, **kwargs: False)
+        m.setattr(hashlib, "sha256", counted_hash)
+        assert_same_graph(warm(path, monkeypatch), want)
+    assert len(hashes) == 1
 
 
 def test_file_changed_during_the_load_is_not_cached(tmp_path, monkeypatch):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from dks import (Graph, leading_eigenpair, loaded_matvec, quadratic_form,
-                 spectral_norm, top_two_singular_values)
+from dks import (Graph, density_upper_bound, leading_eigenpair, loaded_matvec,
+                 quadratic_form, spectral_norm, top_two_singular_values)
 from dks.linalg import (CERT_MAX_ITERS, CERT_TOL, STEP_MAX_ITERS, STEP_TOL,
                         collatz_wielandt)
 from dks.oracle import dense_eig
@@ -265,3 +265,63 @@ def test_leading_eigenpair_memory_is_a_fixed_handful_of_vectors():
     finally:
         tracemalloc.stop()
     assert (peak - entry) / (8 * n) <= 7.5
+
+
+def _pm_pair_witness():
+    # a dense random graph whose deflated spectrum ends in a near +/- pair:
+    # theta2 = 19.6018 against theta_n = -19.5936
+    rng = np.random.default_rng(0)
+    rng.integers(0, 2000, size=(21_000, 2))  # only advances the generator
+    return Graph.from_edges(2000, rng.integers(0, 2000, size=(104_000, 2)))
+
+
+def _sigma2_products(make, **kwargs):
+    """Products with A that ``top_two_singular_values`` spends past the Perron pair."""
+    g = _counted(make())
+    leading_eigenpair(g, **kwargs)
+    lead = g.matrix.calls
+    g = _counted(make())
+    top_two_singular_values(g, **kwargs)
+    return g.matrix.calls - lead
+
+
+def test_sigma2_does_not_stall_on_a_near_plus_minus_pair():
+    # The deflated power loop's ||M x|| crawled between the pair's two
+    # eigenvectors: it ran all 20 000 products and returned inf, and the
+    # bound read 0.5140 at k = 200 and the cap 1.0 at k = 50.  LOPCG on
+    # M^2 took 1 368 products past the Perron pair's 16; the test allows
+    # about 1.5 times the 1 384 in all.
+    g = _counted(_pm_pair_witness())
+    _, _, sigma2 = top_two_singular_values(g)
+    assert g.matrix.calls <= 2_000
+    w = np.linalg.eigvalsh(g.matrix.toarray())
+    want = max(w[-2], -w[0])
+    assert sigma2 == pytest.approx(want, rel=1e-9)
+    assert density_upper_bound(_pm_pair_witness(), 200) <= 0.17
+
+
+@pytest.mark.parametrize("make", [_pm_pair_witness, lambda: Graph.from_edges(4, []),
+                                  lambda: Graph.from_edges(3, [(0, 1), (1, 2), (2, 0)]),
+                                  lambda: Graph.from_edges(5, [(0, i) for i in range(1, 5)])],
+                         ids=["witness", "edgeless", "triangle", "star"])
+def test_sigma2_stays_within_its_budget(make):
+    # each step costs two products with A, and sigma2's run has max_iters
+    for budget in (1, 2, 3, 5, 17, 40):
+        assert _sigma2_products(make, max_iters=budget) <= budget
+
+
+def test_sigma2_memory_is_a_fixed_handful_of_vectors():
+    # LOPCG's six vectors, u1, and the deflated operator's two products and
+    # scaled copy of u1.  Measured: 10.04 n-vectors over the whole call.
+    rng = np.random.default_rng(13)
+    n = 10_000
+    g = Graph.from_edges(n, rng.integers(0, n, size=(50_000, 2)))
+    top_two_singular_values(g)  # first calls may cache allocations
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        top_two_singular_values(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * n) <= 10.5
